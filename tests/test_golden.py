@@ -1,0 +1,91 @@
+"""Golden stdout battery: fixed CLI runs compared byte for byte.
+
+Each case runs the CLI in-process on a catalog entry and compares its stdout
+and exit code with the files recorded under ``tests/golden/``.  Refactors
+that promise unchanged output are held to this battery.  Re-record (only
+when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from arrsheaf.arrangement import catalog, serialize_arrangement
+from arrsheaf.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
+
+# name -> (catalog entry, CLI arguments; "{f}" is the arrangement file)
+CASES = {
+    "lattice-braid4": (("braid", 4), ["lattice", "{f}"]),
+    "freeness-braid3": (("braid", 3), ["freeness", "{f}"]),
+    "derivations-boolean2": (
+        ("boolean", 2), ["derivations", "{f}", "--flat", "3", "--degree", "1"]),
+    "cohomology-braid3": (("braid", 3), ["cohomology", "{f}", "--window", "-2:4"]),
+    "cohomology-O-boolean2": (
+        ("boolean", 2),
+        ["cohomology", "{f}", "--functor", "O", "--window", "-5:3", "--kmax", "6"]),
+    "oracle-generic34": (
+        ("generic", 3, 4), ["oracle", "{f}", "--window", "-3:3", "--kmax", "5"]),
+    "oracle-O-arrangement-boolean2": (
+        ("boolean", 2),
+        ["oracle", "{f}", "--module", "O", "--cover", "arrangement",
+         "--window", "-4:2", "--kmax", "6"]),
+    "report-braid3": (
+        ("braid", 3), ["report", "{f}", "--kunneth-window", "-2:2", "--kmax", "4"]),
+    # the Kunneth window reaches outside the report window (-4, 2)
+    "report-boolean2-wide-kunneth": (
+        ("boolean", 2), ["report", "{f}", "--kunneth-window", "-6:6", "--kmax", "6"]),
+    # not free: tensor term through the top-level syzygies
+    "report-generic34": (
+        ("generic", 3, 4), ["report", "{f}", "--kunneth-window", "-2:2", "--kmax", "4"]),
+    "report-braid3-table": (
+        ("braid", 3), ["report", "{f}", "--skip-kunneth", "--format", "table"]),
+    "verify-kunneth-boolean2": (
+        ("boolean", 2), ["verify-kunneth", "{f}", "--window", "-3:2", "--kmax", "6"]),
+}
+
+
+def run_case(name: str, workdir: Path) -> tuple[int, bytes]:
+    entry, argv = CASES[name]
+    path = workdir / f"{name}.arr"
+    path.write_text(serialize_arrangement(catalog(*entry)), encoding="utf-8")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([a.replace("{f}", str(path)) for a in argv])
+    return code, buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_stdout(name, tmp_path):
+    code, out = run_case(name, tmp_path)
+    expected_codes = json.loads(EXIT_CODES.read_text(encoding="utf-8"))
+    assert code == expected_codes[name]
+    assert out == (GOLDEN_DIR / f"{name}.out").read_bytes()
+
+
+def _record() -> None:
+    import tempfile
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            code, out = run_case(name, Path(tmp))
+            (GOLDEN_DIR / f"{name}.out").write_bytes(out)
+            codes[name] = code
+    EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    _record()
