@@ -48,7 +48,7 @@ from .diagnostics import (
     kunneth_verify,
     pd_via_lattice,
 )
-from .lattice import IntersectionLattice, LatticeElement, build_lattice, localization
+from .lattice import IntersectionLattice, LatticeElement, build_lattice
 from .linalg import (
     GF,
     QQ,

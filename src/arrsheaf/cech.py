@@ -42,6 +42,7 @@ from .derivations import DerivationEngine, engine_for, inclusion_matrix
 from .lattice import IntersectionLattice
 from .linalg import Field, SubspaceReducer, sparse_rank
 from .monomials import dim_poly, multiplication_columns, poly_from_linear, poly_mul
+from .oracle import _truncated_engine, stabilized_dims
 
 DEFAULT_TUPLE_CAP = 2_000_000
 
@@ -517,18 +518,6 @@ def default_window(arr: Arrangement) -> tuple[int, int]:
     return (-arr.size - arr.ell, arr.size)
 
 
-def _run_grid(cell, degrees, workers: int):
-    """Evaluate cell(d) per degree, optionally on a bounded worker pool;
-    assembly order is fixed, so output is deterministic either way."""
-    if workers <= 1:
-        return {d: cell(d) for d in degrees}
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {d: pool.submit(cell, d) for d in degrees}
-        return {d: futures[d].result() for d in degrees}
-
-
 def lattice_cohomology_table(
     arr: Arrangement,
     lattice: IntersectionLattice,
@@ -536,7 +525,6 @@ def lattice_cohomology_table(
     window: tuple[int, int],
     cover: str = "minimal",
     kmax: int = 8,
-    workers: int = 1,
     tuple_cap: int | None = None,
 ) -> CohomologyTable:
     """Dimension table of H^n(L0, -)_d for n in [0, ell-1], d in the window."""
@@ -546,69 +534,23 @@ def lattice_cohomology_table(
     cov = minimal_cover(lattice) if cover == "minimal" else full_cover(lattice)
     validate_cover(lattice, cov)
     n_max = arr.ell - 1
-    degrees = list(range(d_min, d_max + 1))
+    degrees = range(d_min, d_max + 1)
 
     if functor == "D":
-        def cell(d: int) -> dict[int, int]:
-            return _derivation_dims_via_sequences(arr, lattice, cov, d, n_max, tuple_cap)
-
-        per_degree = _run_grid(cell, degrees, workers)
+        per_degree = {
+            d: _derivation_dims_via_sequences(arr, lattice, cov, d, n_max, tuple_cap)
+            for d in degrees
+        }
         entries = {
             (n, d): per_degree[d].get(n, 0) for d in degrees for n in range(n_max + 1)
         }
         return CohomologyTable("D", cov.label, window, entries)
 
     if functor == "O":
-        from .oracle import truncated_cover_dims_lattice
-
-        q_full = arr.size
-
-        def cell(d: int):
-            cache: dict[int, dict[int, int]] = {}
-
-            def dims_at(k: int) -> dict[int, int]:
-                if k not in cache:
-                    cache[k] = truncated_cover_dims_lattice(
-                        arr, lattice, cov, d, k, n_max
-                    )
-                return cache[k]
-
-            # skip vacuous truncations (empty common numerator space) and
-            # require three consecutive equal levels, matching the oracle
-            k_start = max(1, (-d + q_full - 1) // q_full) if d < 0 else 1
-            run = 3 if kmax - k_start >= 2 else 2
-            found: dict[int, tuple[int, int]] = {}
-            for k in range(k_start, kmax - run + 2):
-                window_dims = [dims_at(k + i) for i in range(run)]
-                for n in range(n_max + 1):
-                    if n not in found and all(
-                        w[n] == window_dims[0][n] for w in window_dims
-                    ):
-                        found[n] = (window_dims[0][n], k)
-                if len(found) == n_max + 1:
-                    break
-            result = {}
-            for n in range(n_max + 1):
-                if n in found:
-                    dim, k = found[n]
-                    result[n] = (dim, k, True)
-                else:
-                    result[n] = (dims_at(kmax)[n], kmax, False)
-            return result
-
-        per_degree = _run_grid(cell, degrees, workers)
-        entries: dict = {}
-        stabilized: dict = {}
-        unstable = []
-        for d in degrees:
-            for n in range(n_max + 1):
-                dim, k, stable = per_degree[d][n]
-                entries[(n, d)] = dim
-                stabilized[(n, d)] = k
-                if not stable:
-                    unstable.append((n, d))
+        eng = _truncated_engine(arr, "O", "flats", lattice, cov.centers, cov.label)
+        entries, stabilized, unstable = stabilized_dims(eng, degrees, n_max, kmax)
         return CohomologyTable(
-            "O", cov.label, window, entries, stabilized, tuple(unstable), kmax
+            "O", cov.label, window, entries, stabilized, unstable, kmax
         )
 
     raise ValueError(f"unknown functor {functor!r}; expected 'D' or 'O'")

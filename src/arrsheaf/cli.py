@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .arrangement import (
@@ -73,14 +72,6 @@ def _merge_window_flags(argv: list[str]) -> list[str]:
     return out
 
 
-def _default_workers() -> int:
-    env = os.environ.get("ARRSHEAF_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _load(path: str):
     if path == "-":
         return parse_arrangement(sys.stdin.read())
@@ -104,12 +95,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="arrsheaf",
         description="Exact lattice sheaf cohomology of hyperplane arrangements",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker pool width for the (n, d) grid (default: ARRSHEAF_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -169,7 +154,6 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_INPUT
-    workers = args.threads if args.threads else _default_workers()
 
     try:
         if args.command == "catalog":
@@ -238,7 +222,6 @@ def main(argv=None) -> int:
                 window,
                 cover=args.cover,
                 kmax=args.kmax,
-                workers=workers,
             )
             payload = table.to_json(arr)
             if args.format == "table":
@@ -257,7 +240,6 @@ def main(argv=None) -> int:
                 window=_parse_window(args.window),
                 kmax=args.kmax,
                 lattice=lattice,
-                workers=workers,
             )
             _emit(result.to_json(arr))
             return EXIT_OK
@@ -280,7 +262,6 @@ def main(argv=None) -> int:
                 window=window,
                 kunneth_window=_parse_window(args.kunneth_window),
                 kmax=args.kmax,
-                workers=workers,
                 with_kunneth=not args.skip_kunneth,
             )
             payload = report.to_json()
@@ -309,7 +290,6 @@ def main(argv=None) -> int:
                 lattice,
                 window=_parse_window(args.window),
                 kmax=args.kmax,
-                workers=workers,
             )
             _emit(
                 {

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arrangement import Arrangement, ArrangementError, members_of
 from .linalg import (
     ColumnSpace,
     ExactMatrix,
     RowReducer,
+    _integerized,
     sparse_kernel_basis,
     sparse_rank,
 )
@@ -48,11 +48,7 @@ def reduced_row_tuples(ell: int, degree: int, pivot: int) -> tuple:
 
 
 class DerivationEngine:
-    """Per-arrangement cache of constraint matrices, ranks and kernel bases.
-
-    All cached values are immutable once stored and keys are value-like
-    tuples, so concurrent lookups/insertions of distinct keys are safe.
-    """
+    """Per-arrangement cache of constraint matrices, ranks and kernel bases."""
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
@@ -208,26 +204,9 @@ class DerivationEngine:
                 self.field, self.constraint_rows(members, d), self.ambient_dim(d)
             )
             if self.field.kind == "rationals":
-                vecs = [_primitive_integer_vector(v) for v in vecs]
+                vecs = [_integerized(v) for v in vecs]
         self._basis[key] = vecs
         return vecs
-
-
-def _primitive_integer_vector(vec: dict) -> dict:
-    """Scale a rational vector to coprime integers (same span, faster math)."""
-    from math import gcd, lcm
-
-    denom = 1
-    for v in vec.values():
-        if isinstance(v, Fraction):
-            denom = lcm(denom, v.denominator)
-    scaled = {j: int(v * denom) for j, v in vec.items()}
-    g = 0
-    for v in scaled.values():
-        g = gcd(g, v)
-    if g > 1:
-        scaled = {j: v // g for j, v in scaled.items()}
-    return scaled
 
 
 _engines: dict[Arrangement, DerivationEngine] = {}
@@ -253,13 +232,6 @@ class DerivationSpace:
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    def as_matrix(self, field) -> ExactMatrix:
-        ambient = self.ell * dim_poly(self.ell, self.degree)
-        rows = []
-        for i in range(ambient):
-            rows.append(tuple(v.get(i, field.zero) for v in self.vectors))
-        return ExactMatrix(field, ambient, len(self.vectors), tuple(rows))
 
 
 def derivation_space(arr: Arrangement, flat, d: int) -> DerivationSpace:

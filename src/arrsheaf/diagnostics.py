@@ -58,12 +58,13 @@ def freeness_verdict(
     arr: Arrangement,
     lattice: IntersectionLattice,
     window: tuple[int, int] | None = None,
-    workers: int = 1,
+    table: CohomologyTable | None = None,
 ) -> dict:
     """Combine the exact certificate with window-scoped lattice vanishing."""
     window = window or default_window(arr)
     cert = freeness_certificate(arr)
-    table = lattice_cohomology_table(arr, lattice, "D", window, workers=workers)
+    if table is None:
+        table = lattice_cohomology_table(arr, lattice, "D", window)
     summary = vanishing_summary(table, arr.ell)
     verdict = {
         "certificate": cert.to_json(),
@@ -92,17 +93,13 @@ def pd_via_lattice(
     lattice: IntersectionLattice,
     window: tuple[int, int] | None = None,
     table: CohomologyTable | None = None,
-    workers: int = 1,
 ) -> int:
     """Smallest p with H^n vanishing on the window for 0 < n < ell-1-p."""
     window = window or default_window(arr)
     if table is None:
-        table = lattice_cohomology_table(arr, lattice, "D", window, workers=workers)
-    top_nonzero = 0
-    for (n, d), dim in table.entries.items():
-        if 0 < n < arr.ell - 1 and dim:
-            top_nonzero = max(top_nonzero, n)
-    return arr.ell - 1 - top_nonzero if top_nonzero else 0
+        table = lattice_cohomology_table(arr, lattice, "D", window)
+    middle = [n for (n, _d), dim in table.entries.items() if 0 < n < arr.ell - 1 and dim]
+    return arr.ell - 1 - min(middle) if middle else 0
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +241,6 @@ def kunneth_verify(
     lattice: IntersectionLattice,
     window: tuple[int, int] = (-6, 6),
     kmax: int = 8,
-    workers: int = 1,
     lattice_table: CohomologyTable | None = None,
     oracle_result=None,
 ) -> dict:
@@ -258,13 +254,9 @@ def kunneth_verify(
     """
     ell = arr.ell
     if lattice_table is None:
-        lattice_table = lattice_cohomology_table(
-            arr, lattice, "D", window, workers=workers
-        )
+        lattice_table = lattice_cohomology_table(arr, lattice, "D", window)
     if oracle_result is None:
-        oracle_result = punctured_cohomology(
-            arr, "D", "coords", window, kmax, workers=workers
-        )
+        oracle_result = punctured_cohomology(arr, "D", "coords", window, kmax)
     cert = freeness_certificate(arr)
     free = cert.status == "free"
     exponents = cert.exponents if free else ()
@@ -381,27 +373,14 @@ def build_report(
     window: tuple[int, int] | None = None,
     kunneth_window: tuple[int, int] = (-6, 6),
     kmax: int = 8,
-    workers: int = 1,
     with_kunneth: bool = True,
 ) -> DiagnosticsReport:
+    """Freeness, pd from both engines, factorization and the cross-engine
+    cells.  The lattice table and the punctured-spectrum run are computed
+    once and shared by every verdict that reads them."""
     window = window or default_window(arr)
-    cert = freeness_certificate(arr)
-    table = lattice_cohomology_table(arr, lattice, "D", window, workers=workers)
-    summary = vanishing_summary(table, arr.ell)
-    verdict = {
-        "certificate": cert.to_json(),
-        "lattice_vanishing": summary,
-        "free": cert.status == "free",
-    }
-    if cert.status == "free" and not summary["vanishes"]:
-        raise ConsistencyError(
-            {
-                "message": "certified-free arrangement has nonvanishing lattice "
-                "cohomology in the freeness range",
-                "arrangement": arr.label(),
-                "verdict": verdict,
-            }
-        )
+    table = lattice_cohomology_table(arr, lattice, "D", window)
+    verdict = freeness_verdict(arr, lattice, window, table=table)
     pd_lat = pd_via_lattice(arr, lattice, window, table=table)
     payload = {
         "arrangement": arr.label(),
@@ -412,14 +391,19 @@ def build_report(
         "freeness": verdict,
         "pd_via_lattice": pd_lat,
         "pd_via_oracle": None,
-        "factorization": factorization_check(arr, lattice, cert),
+        "factorization": factorization_check(arr, lattice),
         "lattice_table": table.to_json(arr),
     }
     if with_kunneth:
-        oracle_pd = pd_oracle(arr, kunneth_window, kmax)
+        punctured = punctured_cohomology(arr, "D", "coords", kunneth_window, kmax)
+        oracle_pd = pd_oracle(arr, kunneth_window, kmax, punctured=punctured)
         payload["pd_via_oracle"] = oracle_pd
-        kn = kunneth_verify(arr, lattice, kunneth_window, kmax, workers,
-                            lattice_table=None)
+        # a D cell depends on its degree only, so the report's own table
+        # serves every degree of a Kunneth window inside the report window
+        inside = window[0] <= kunneth_window[0] and kunneth_window[1] <= window[1]
+        kn = kunneth_verify(arr, lattice, kunneth_window, kmax,
+                            lattice_table=table if inside else None,
+                            oracle_result=punctured)
         payload["kunneth"] = {
             "window": kn["window"],
             "cells": kn["cells"],

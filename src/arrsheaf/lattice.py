@@ -51,7 +51,7 @@ class IntersectionLattice:
         if self.elements[self.top_index].codim != arr.ell:
             raise ArrangementError("lattice has no top of full codimension")
         self.mobius: tuple[int, ...] = self._compute_mobius()
-        self.meet_table, self.join_table = self._compute_tables()
+        self.meet_table = self._compute_meet_table()
 
     # -- construction ------------------------------------------------------
 
@@ -105,48 +105,22 @@ class IntersectionLattice:
             )
         return tuple(mobius)
 
-    def _compute_tables(self):
+    def _compute_meet_table(self):
+        # an intersection of closed member sets is closed, so the members of
+        # a meet are exactly the common members
+        member_sets = [set(e.members) for e in self.elements]
         n = len(self.elements)
         meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        field = self.arrangement.field
-        ell = self.arrangement.ell
-        normals = [h.normal for h in self.arrangement.hyperplanes]
         for i in range(n):
             for j in range(i, n):
-                common = tuple(
-                    sorted(set(self.elements[i].members) & set(self.elements[j].members))
-                )
-                meet[i][j] = meet[j][i] = self._members_index[
-                    self._closure_members(common)
-                ]
-                union_span = _span_key(
-                    field,
-                    [normals[k] for k in self.elements[i].members]
-                    + [normals[k] for k in self.elements[j].members],
-                    ell,
-                )
-                join[i][j] = join[j][i] = self._index[union_span]
-        return tuple(map(tuple, meet)), tuple(map(tuple, join))
-
-    def _closure_members(self, members: tuple[int, ...]) -> tuple[int, ...]:
-        # the flat cut out by a member set can pick up extra hyperplanes
-        field = self.arrangement.field
-        ell = self.arrangement.ell
-        normals = [h.normal for h in self.arrangement.hyperplanes]
-        span = _span_key(field, [normals[k] for k in members], ell)
-        return self.elements[self._index[span]].members
+                common = tuple(sorted(member_sets[i] & member_sets[j]))
+                meet[i][j] = meet[j][i] = self._members_index[common]
+        return tuple(map(tuple, meet))
 
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def index_of(self, element: LatticeElement) -> int:
-        try:
-            return self._index[element.span_rref]
-        except KeyError:
-            raise ArrangementError("element does not belong to this lattice") from None
 
     def index_by_members(self, members) -> int:
         return self._members_index[tuple(sorted(members))]
@@ -160,7 +134,10 @@ class IntersectionLattice:
         return self.meet_table[i][j]
 
     def join(self, i: int, j: int) -> int:
-        return self.join_table[i][j]
+        """Join in the full lattice: the flat spanned by both normal sets."""
+        arr = self.arrangement
+        normals = [arr.normal(k) for k in self.elements[i].members + self.elements[j].members]
+        return self._index[_span_key(arr.field, normals, arr.ell)]
 
     def meet_many(self, indices) -> int:
         out = None
@@ -173,9 +150,6 @@ class IntersectionLattice:
     @property
     def bottom_index(self) -> int:
         return 0
-
-    def localization_members(self, i: int) -> tuple[int, ...]:
-        return self.elements[i].members
 
     # -- L0 = lattice minus top, ordered by inclusion -----------------------
 
@@ -226,29 +200,6 @@ class IntersectionLattice:
 
 def build_lattice(arr: Arrangement) -> IntersectionLattice:
     return IntersectionLattice(arr)
-
-
-@dataclass(frozen=True)
-class Localization:
-    """Read-only view of the subarrangement of hyperplanes containing a flat."""
-
-    arrangement: Arrangement
-    flat_members: tuple[int, ...]
-
-    @property
-    def ell(self) -> int:
-        return self.arrangement.ell
-
-    @property
-    def size(self) -> int:
-        return len(self.flat_members)
-
-    def normals(self) -> tuple:
-        return tuple(self.arrangement.normal(i) for i in self.flat_members)
-
-
-def localization(arr: Arrangement, lattice: IntersectionLattice, flat_index: int) -> Localization:
-    return Localization(arr, lattice.elements[flat_index].members)
 
 
 def lattice_json(lattice: IntersectionLattice) -> dict:

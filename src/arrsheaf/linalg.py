@@ -12,9 +12,6 @@ Two layers:
   the cohomology engines feed directly.  Both layers use the same fixed
   pivoting rule (first nonzero in column order), so bases are deterministic
   across runs.
-
-All values are immutable after construction and all operations are pure
-functions, so everything in this module is safe to share across workers.
 """
 
 from __future__ import annotations

@@ -67,17 +67,6 @@ def poly_from_linear(normal, ell: int) -> dict:
     return out
 
 
-def poly_add(field: Field, p: dict, q: dict) -> dict:
-    out = dict(p)
-    for m, c in q.items():
-        w = field.add(out.get(m, field.zero), c)
-        if w == 0:
-            out.pop(m, None)
-        else:
-            out[m] = w
-    return out
-
-
 def poly_mul(field: Field, p: dict, q: dict) -> dict:
     out: dict = {}
     for m1, c1 in p.items():
@@ -89,12 +78,6 @@ def poly_mul(field: Field, p: dict, q: dict) -> dict:
             else:
                 out[m] = w
     return out
-
-
-def poly_scale(field: Field, c, p: dict) -> dict:
-    if c == 0:
-        return {}
-    return {m: field.mul(c, v) for m, v in p.items()}
 
 
 def poly_product(field: Field, factors, ell: int) -> dict:

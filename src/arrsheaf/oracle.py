@@ -103,17 +103,49 @@ class _FlatCover:
 # module piece providers
 
 
-class _StructurePieces:
-    """Graded pieces of S itself: ambient = monomial coordinates."""
+class _Pieces:
+    """Graded pieces inside ``blocks`` copies of S_t (monomial coordinates,
+    block-major); subclasses say which submodule."""
 
-    label = "O"
+    blocks: int
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
         self._splits: dict = {}
 
     def ambient_dim(self, t: int) -> int:
-        return dim_poly(self.arr.ell, t)
+        return self.blocks * dim_poly(self.arr.ell, t)
+
+    def divisibility_split(self, shift: tuple, num_degree: int, amb_degree: int) -> dict:
+        key = (shift, amb_degree)
+        hit = self._splits.get(key)
+        if hit is not None:
+            return hit
+        ell = self.arr.ell
+        amb = basis(ell, amb_degree)
+        num = basis(ell, num_degree) if num_degree >= 0 else None
+        rest_index: dict = {}
+        shift_back: dict = {}
+        for i in range(self.blocks):
+            for j, m in enumerate(amb.tuples):
+                flat = i * len(amb.tuples) + j
+                if num is not None and all(a >= b for a, b in zip(m, shift)):
+                    shift_back[flat] = i * len(num.tuples) + num.index[
+                        tuple(a - b for a, b in zip(m, shift))
+                    ]
+                else:
+                    rest_index[flat] = len(rest_index)
+        hit = {"rest_index": rest_index, "shift_back": shift_back,
+               "rest_size": len(rest_index)}
+        self._splits[key] = hit
+        return hit
+
+
+class _StructurePieces(_Pieces):
+    """Graded pieces of S itself: ambient = monomial coordinates."""
+
+    label = "O"
+    blocks = 1
 
     def module_dim(self, t: int) -> int:
         return dim_poly(self.arr.ell, t)
@@ -138,42 +170,20 @@ class _StructurePieces:
                     out[key] = w
         return out
 
-    def divisibility_split(self, shift: tuple, num_degree: int, amb_degree: int) -> dict:
-        key = (shift, amb_degree)
-        hit = self._splits.get(key)
-        if hit is not None:
-            return hit
-        amb = basis(self.arr.ell, amb_degree)
-        num = basis(self.arr.ell, num_degree) if num_degree >= 0 else None
-        rest_index: dict = {}
-        shift_back: dict = {}
-        for j, m in enumerate(amb.tuples):
-            if num is not None and all(a >= b for a, b in zip(m, shift)):
-                shift_back[j] = num.index[tuple(a - b for a, b in zip(m, shift))]
-            else:
-                rest_index[j] = len(rest_index)
-        hit = {"rest_index": rest_index, "shift_back": shift_back,
-               "rest_size": len(rest_index)}
-        self._splits[key] = hit
-        return hit
-
     def constraint_columns_at(self, t: int) -> dict:
         return {"rows": 0, "columns": [{} for _ in range(max(0, dim_poly(self.arr.ell, t)))]}
 
 
-class _DerivationPieces:
+class _DerivationPieces(_Pieces):
     """Graded pieces of the full derivation module inside S_t^ell."""
 
     label = "D"
 
     def __init__(self, arr: Arrangement):
-        self.arr = arr
+        super().__init__(arr)
+        self.blocks = arr.ell
         self.engine = engine_for(arr)
         self.all_members = tuple(range(arr.size))
-        self._splits: dict = {}
-
-    def ambient_dim(self, t: int) -> int:
-        return self.arr.ell * dim_poly(self.arr.ell, t)
 
     def module_dim(self, t: int) -> int:
         return self.engine.space_dim(self.all_members, t)
@@ -183,30 +193,6 @@ class _DerivationPieces:
 
     def multiply(self, vec: dict, poly: dict, t_from: int) -> dict:
         return multiply_vector(self.arr, vec, poly, t_from)
-
-    def divisibility_split(self, shift: tuple, num_degree: int, amb_degree: int) -> dict:
-        key = (shift, amb_degree)
-        hit = self._splits.get(key)
-        if hit is not None:
-            return hit
-        ell = self.arr.ell
-        amb = basis(ell, amb_degree)
-        num = basis(ell, num_degree) if num_degree >= 0 else None
-        rest_index: dict = {}
-        shift_back: dict = {}
-        for i in range(ell):
-            for j, m in enumerate(amb.tuples):
-                flat = i * len(amb.tuples) + j
-                if num is not None and all(a >= b for a, b in zip(m, shift)):
-                    shift_back[flat] = i * len(num.tuples) + num.index[
-                        tuple(a - b for a, b in zip(m, shift))
-                    ]
-                else:
-                    rest_index[flat] = len(rest_index)
-        hit = {"rest_index": rest_index, "shift_back": shift_back,
-               "rest_size": len(rest_index)}
-        self._splits[key] = hit
-        return hit
 
     def constraint_columns_at(self, t: int) -> dict:
         cols, layout = self.engine.constraint_columns(self.all_members, t)
@@ -479,20 +465,49 @@ def _truncated_engine(arr: Arrangement, module: str, cover: str,
     return eng
 
 
-def truncated_cover_dims_lattice(
-    arr: Arrangement,
-    lattice: IntersectionLattice,
-    cover_index,
-    d: int,
-    k: int,
-    n_max: int,
-) -> dict[int, int]:
-    """Level-k dims of the truncated structure functor on a lattice cover
-    (shared code path with the arrangement-cover oracle)."""
-    eng = _truncated_engine(
-        arr, "O", "flats", lattice, cover_index.centers, cover_index.label
-    )
-    return eng.dims_at(d, k, n_max)
+def stabilized_dims(eng: TruncatedEngine, degrees, n_max: int, kmax: int):
+    """Direct-limit dims of H^0 .. H^{n_max} per degree, read off the
+    truncation levels of ``eng``.
+
+    Each (n, d) cell takes its value at the first K opening a run of equal
+    truncation levels; cells that never settle below kmax keep the kmax
+    value and are listed as unstable.  Returns (entries, stabilized_at,
+    unstable), keyed by (n, d).
+    """
+    q_full = eng.cover.full_degree
+    entries: dict = {}
+    stabilized: dict = {}
+    unstable = []
+    for d in degrees:
+        cache: dict[int, dict[int, int]] = {}
+
+        def dims_at(k: int) -> dict[int, int]:
+            if k not in cache:
+                cache[k] = eng.dims_at(d, k, n_max)
+            return cache[k]
+
+        # truncations with an empty common numerator space are vacuous and a
+        # two-level coincidence can mask a later jump, so acceptance needs
+        # three consecutive equal levels (two when kmax leaves no room)
+        k_start = max(1, (-d + q_full - 1) // q_full) if d < 0 else 1
+        run = 3 if kmax - k_start >= 2 else 2
+        found: dict[int, tuple[int, int]] = {}
+        for k in range(k_start, kmax - run + 2):
+            window_dims = [dims_at(k + i) for i in range(run)]
+            for n in range(n_max + 1):
+                if n not in found and all(
+                    w[n] == window_dims[0][n] for w in window_dims
+                ):
+                    found[n] = (window_dims[0][n], k)
+            if len(found) == n_max + 1:
+                break
+        for n in range(n_max + 1):
+            if n in found:
+                entries[(n, d)], stabilized[(n, d)] = found[n]
+            else:
+                entries[(n, d)], stabilized[(n, d)] = dims_at(kmax)[n], kmax
+                unstable.append((n, d))
+    return entries, stabilized, tuple(unstable)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +558,6 @@ def punctured_cohomology(
     window: tuple[int, int] = (-6, 6),
     kmax: int = 8,
     lattice: IntersectionLattice | None = None,
-    workers: int = 1,
 ) -> PuncturedCohomologyResult:
     """Stabilized dims of H^n on the punctured affine space, n in [0, ell-1].
 
@@ -565,66 +579,12 @@ def punctured_cohomology(
     else:
         raise ValueError("cover must be 'coords' or 'arrangement'")
 
-    n_max = arr.ell - 1
-    d_min, d_max = window
-    degrees = list(range(d_min, d_max + 1))
-
-    q_full = eng.cover.full_degree
-
-    def cell(d: int):
-        cache: dict[int, dict[int, int]] = {}
-
-        def dims_at(k: int) -> dict[int, int]:
-            if k not in cache:
-                cache[k] = eng.dims_at(d, k, n_max)
-            return cache[k]
-
-        # truncations with an empty common numerator space are vacuous and a
-        # two-level coincidence can mask a later jump, so acceptance needs
-        # three consecutive equal levels (two when kmax leaves no room)
-        k_start = max(1, (-d + q_full - 1) // q_full) if d < 0 else 1
-        run = 3 if kmax - k_start >= 2 else 2
-        found: dict[int, tuple[int, int]] = {}
-        for k in range(k_start, kmax - run + 2):
-            window_dims = [dims_at(k + i) for i in range(run)]
-            for n in range(n_max + 1):
-                if n not in found and all(
-                    w[n] == window_dims[0][n] for w in window_dims
-                ):
-                    found[n] = (window_dims[0][n], k)
-            if len(found) == n_max + 1:
-                break
-        result = {}
-        for n in range(n_max + 1):
-            if n in found:
-                dim, k = found[n]
-                result[n] = (dim, k, True)
-            else:
-                result[n] = (dims_at(kmax)[n], kmax, False)
-        return result
-
-    if workers <= 1:
-        per_degree = {d: cell(d) for d in degrees}
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {d: pool.submit(cell, d) for d in degrees}
-            per_degree = {d: futures[d].result() for d in degrees}
-
-    entries: dict = {}
-    stabilized: dict = {}
-    unstable = []
-    for d in degrees:
-        for n in range(n_max + 1):
-            dim, k, stable = per_degree[d][n]
-            entries[(n, d)] = dim
-            stabilized[(n, d)] = k
-            if not stable:
-                unstable.append((n, d))
+    entries, stabilized, unstable = stabilized_dims(
+        eng, range(window[0], window[1] + 1), arr.ell - 1, kmax
+    )
     return PuncturedCohomologyResult(
         module, cover if cover == "coords" else "arrangement",
-        window, kmax, entries, stabilized, tuple(unstable),
+        window, kmax, entries, stabilized, unstable,
     )
 
 
@@ -634,14 +594,17 @@ def local_cohomology_dims(
     kmax: int = 8,
     cover: str = "coords",
     lattice: IntersectionLattice | None = None,
+    punctured: PuncturedCohomologyResult | None = None,
 ) -> dict:
     """Graded dims of the local cohomology of the derivation module.
 
     H^{i+1} at the maximal ideal equals H^i on the punctured space for
     i >= 1; H^0 and H^1 vanish because the module is reflexive (depth >= 2),
-    and that vanishing is reported unconditionally.
+    and that vanishing is reported unconditionally.  ``punctured`` is an
+    already computed D run on the same window and kmax.
     """
-    punctured = punctured_cohomology(arr, "D", cover, window, kmax, lattice)
+    if punctured is None:
+        punctured = punctured_cohomology(arr, "D", cover, window, kmax, lattice)
     entries: dict = {}
     unstable = set(punctured.unstable)
     flagged = []
@@ -661,10 +624,12 @@ def pd_oracle(
     kmax: int = 8,
     cover: str = "coords",
     lattice: IntersectionLattice | None = None,
+    punctured: PuncturedCohomologyResult | None = None,
 ) -> dict:
     """Smallest projective dimension consistent with local cohomology
-    vanishing observed on the window (window-scoped, never exceeds ell-2)."""
-    local = local_cohomology_dims(arr, window, kmax, cover, lattice)
+    vanishing observed on the window (window-scoped, never exceeds ell-2).
+    ``punctured`` is an already computed D run on the same window and kmax."""
+    local = local_cohomology_dims(arr, window, kmax, cover, lattice, punctured)
     lowest_nonzero = None
     for (i, d), dim in sorted(local["entries"].items()):
         if i < arr.ell and dim:

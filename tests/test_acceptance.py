@@ -66,11 +66,15 @@ def lattices(arrangements):
 
 @pytest.fixture(scope="session")
 def oracle_results(arrangements):
-    """Stabilized punctured-spectrum runs shared by criteria 4 and 5."""
+    """Stabilized punctured-spectrum runs shared by criteria 4 and 5, one
+    per entry (braid-3 is in both lists)."""
     out = {}
-    for name, params in KUNNETH_ENTRIES:
+    for name, params in ORACLE_FREE_ENTRIES + KUNNETH_ENTRIES:
         arr = arrangements[catalog(name, *params).name]
-        out[arr.name] = punctured_cohomology(arr, "D", "coords", KUNNETH_WINDOW, KMAX)
+        if arr.name not in out:
+            out[arr.name] = punctured_cohomology(
+                arr, "D", "coords", KUNNETH_WINDOW, KMAX
+            )
     return out
 
 
@@ -206,7 +210,7 @@ def test_criterion_5_projective_dimension(arrangements, lattices, oracle_results
     for name, params in ORACLE_FREE_ENTRIES:
         arr = arrangements[catalog(name, *params).name]
         p_lat = pd_via_lattice(arr, lattices[arr.name], default_window(arr))
-        p_orc = pd_oracle(arr, KUNNETH_WINDOW, KMAX)
+        p_orc = pd_oracle(arr, KUNNETH_WINDOW, KMAX, punctured=oracle_results[arr.name])
         if p_orc["unstable"]:
             failures.append((arr.name, "unstable", p_orc["unstable"]))
         if not (p_lat == p_orc["pd"] == 0):

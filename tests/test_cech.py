@@ -187,12 +187,6 @@ def test_table_json_is_deterministic(boolean2, boolean2_lattice):
     )
 
 
-def test_workers_do_not_change_results(braid3, braid3_lattice):
-    t1 = lattice_cohomology_table(braid3, braid3_lattice, "D", (0, 3), workers=1)
-    t2 = lattice_cohomology_table(braid3, braid3_lattice, "D", (0, 3), workers=3)
-    assert t1.entries == t2.entries
-
-
 def test_braid3_vanishing_above_poset_dimension(braid3, braid3_lattice):
     # the complex keeps going past level ell - 1 = 2, cohomology must not
     F = DerivationFunctor(braid3, braid3_lattice)

@@ -184,24 +184,6 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_threads_flag_same_output(tmp_path, capsys):
-    f = tmp_path / "b2.arr"
-    f.write_text("field Q\ndim 2\nhyperplane 1 0\nhyperplane 0 1\n")
-    main(["cohomology", str(f), "--window", "-2:3"])
-    out1, _ = capsys.readouterr()
-    main(["--threads", "3", "cohomology", str(f), "--window", "-2:3"])
-    out2, _ = capsys.readouterr()
-    assert out1 == out2
-
-
-def test_threads_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ARRSHEAF_THREADS", "2")
-    f = tmp_path / "b2.arr"
-    f.write_text("field Q\ndim 2\nhyperplane 1 0\nhyperplane 0 1\n")
-    code = main(["cohomology", str(f), "--window", "0:2"])
-    out, _ = capsys.readouterr()
-    assert code == EXIT_OK and json.loads(out)["entries"]
-
 def test_catalog_report_pipeline_stdin(capsys, monkeypatch):
     # arrsheaf catalog braid 3 | arrsheaf report -
     code = main(["catalog", "braid", "3"])
@@ -306,3 +288,11 @@ def test_cross_process_determinism(tmp_path):
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_threads_flag_rejected(tmp_path, capsys):
+    f = tmp_path / "b2.arr"
+    f.write_text("field Q\ndim 2\nhyperplane 1 0\nhyperplane 0 1\n")
+    code = main(["--threads", "2", "lattice", str(f)])
+    _, err = capsys.readouterr()
+    assert code == EXIT_INPUT and "usage" in err

@@ -1,6 +1,7 @@
 import pytest
 
-from arrsheaf.arrangement import catalog
+from arrsheaf.arrangement import catalog, parse_arrangement
+from arrsheaf.cech import lattice_cohomology_table
 from arrsheaf.derivations import FreenessCertificate, freeness_certificate
 from arrsheaf.diagnostics import (
     ConsistencyError,
@@ -41,6 +42,20 @@ def test_freeness_verdict_ell2_always_free(braid2):
 def test_pd_via_lattice_values(braid3, braid3_lattice, generic34, generic34_lattice):
     assert pd_via_lattice(braid3, braid3_lattice, (-9, 6)) == 0
     assert pd_via_lattice(generic34, generic34_lattice, (-7, 4)) == 1
+
+
+def test_pd_via_lattice_uses_lowest_middle_level():
+    # ell = 4, not free, with nonzero H^1 and H^2 on the window: the smallest
+    # p with H^n = 0 for 0 < n < ell-1-p is ell-1-1 = 2, not ell-1-2 = 1
+    normals = ["0 0 0 1", "0 0 1 0", "0 1 0 0", "0 1 1 1", "1 0 0 0", "1 1 -1 1", "1 2 0 0"]
+    arr = parse_arrangement(
+        "field Q\ndim 4\n" + "".join(f"hyperplane {n}\n" for n in normals)
+    )
+    lat = build_lattice(arr)
+    table = lattice_cohomology_table(arr, lat, "D", (0, 1))
+    assert table.dim(1, 1) != 0 and table.dim(2, 0) != 0
+    assert pd_via_lattice(arr, lat, (0, 1), table=table) == 2
+    assert pd_via_lattice(arr, lat, (0, 1)) == 2
 
 
 def test_pd_upper_bound(generic34, generic34_lattice):
@@ -133,3 +148,12 @@ def test_build_report_boolean2(boolean2, boolean2_lattice):
     assert report["pd_via_oracle"]["pd"] == 0
     assert report["factorization"]["status"] == "match"
     assert report["kunneth"]["mismatches"] == []
+
+
+def test_build_report_freeness_is_the_verdict(generic34, generic34_lattice):
+    # a window without the H^1 witness at d = 0 carries the verdict's note
+    window = (2, 3)
+    report = build_report(generic34, generic34_lattice, window=window,
+                          with_kunneth=False).to_json()
+    assert report["freeness"] == freeness_verdict(generic34, generic34_lattice, window)
+    assert "note" in report["freeness"]

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from arrsheaf.arrangement import catalog
-from arrsheaf.lattice import build_lattice, lattice_json, localization
+from arrsheaf.lattice import build_lattice, lattice_json
 from arrsheaf.linalg import QQ, RowReducer, sparse_rank, sparse_rref
 
 
@@ -163,15 +163,6 @@ def test_join_is_span_union(boolean2_lattice):
     lat = boolean2_lattice
     lines = [i for i, e in enumerate(lat.elements) if e.codim == 1]
     assert lat.join(lines[0], lines[1]) == lat.top_index
-
-
-def test_localization_view(braid3, braid3_lattice):
-    triples = [
-        i for i, e in enumerate(braid3_lattice.elements) if len(e.members) == 3
-    ]
-    view = localization(braid3, braid3_lattice, triples[0])
-    assert view.size == 3 and view.ell == 3
-    assert len(view.normals()) == 3
 
 
 def test_lattice_json_shape(boolean2, boolean2_lattice):
