@@ -17,18 +17,18 @@ Two computation routes produce identical dimensions:
   Over any cover of principal opens the nerve is a full simplex, so the
   constant functor is acyclic, and R decomposes into summands supported on
   the full subsimplices {centers inside h}, hence is acyclic with known
-  global sections.  The long exact sequences then express every cohomology
-  dimension through the small cokernel complex C:
+  global sections.  ``oracle.exact_sequence_dims`` (shared with the
+  punctured-spectrum engine, and the one statement of its formulas) reads
+  the dims h of Q off the small cokernel complex C; the first sequence gives
 
       dim H^0 = dim D(A)_d
-      dim H^1 = (dim H^0(R) - r0) - dim S_d^ell + dim D(A)_d
-      dim H^2 = dim H^0(C-complex) - r0
-      dim H^n = dim H^{n-2}(C-complex)          (n >= 3)
+      dim H^1 = h^0 - dim S_d^ell + dim D(A)_d
+      dim H^n = h^{n-1}                         (n >= 2)
 
-  with r0 the rank of the evaluation map H^0(R) -> C^0(C).  This route keeps
-  every matrix at the size of the cokernels, which is what makes the ell = 4
-  degree windows feasible; its agreement with the direct route is
-  property-tested on the small catalog.
+  This route keeps every matrix at the size of the cokernels, which is what
+  makes the ell = 4 degree windows feasible.  The materialized route stays
+  separate from it, as its reference: the tests compare the two cell by cell
+  on the small catalog.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .derivations import DerivationEngine, engine_for, inclusion_matrix
 from .lattice import IntersectionLattice
 from .linalg import Field, SubspaceReducer, sparse_rank
 from .monomials import dim_poly, multiplication_columns, poly_from_linear, poly_mul
-from .oracle import _truncated_engine, stabilized_dims
+from .oracle import _truncated_engine, exact_sequence_dims, stabilized_dims
 
 DEFAULT_TUPLE_CAP = 2_000_000
 
@@ -268,7 +268,10 @@ def build_cech_complex(
     if tuple_cap is None:
         tuple_cap = DEFAULT_TUPLE_CAP
     _check_tuple_cap(n_centers, max_level + 1, tuple_cap)
+    return _materialize(lattice, functor, cover, max_level, d)
 
+
+def _materialize(lattice, functor, cover: CoverIndex, max_level: int, d: int) -> CechComplex:
     levels = [
         _build_level(lattice, functor, cover.centers, n, d)
         for n in range(max_level + 1)
@@ -309,7 +312,9 @@ def cohomology_dims(c: CechComplex) -> dict[int, int]:
 
 class _CokernelComplex:
     """Cokernels C(J) = coker(S_d^ell -> sum_h S/(alpha_h)) over cover joins,
-    with the restriction/evaluation plumbing the dimension formulas need."""
+    as the blocks ``exact_sequence_dims`` reads.  A block is spanned by the
+    lifts of its free quotient positions to single (h, row) entries of R; a
+    lift maps into C(J) by dropping the hyperplanes off J and reducing."""
 
     def __init__(self, arr: Arrangement, lattice: IntersectionLattice, d: int):
         self.arr = arr
@@ -319,13 +324,6 @@ class _CokernelComplex:
         self.field = arr.field
         self._reducers: dict[int, SubspaceReducer] = {}
         self._layouts: dict[int, dict] = {}
-
-    def coker_dim(self, flat: int) -> int:
-        members = self.lattice.elements[flat].members
-        if not members or self.d < 0:
-            return 0
-        total = len(members) * dim_poly(self.arr.ell - 1, self.d)
-        return total - self.engine.constraint_rank(members, self.d)
 
     def _reducer(self, flat: int) -> tuple[SubspaceReducer, dict]:
         hit = self._reducers.get(flat)
@@ -349,17 +347,20 @@ class _CokernelComplex:
                 vec[off + idx] = v
         return red.quotient_coords(vec)
 
-    def restrict(self, source_flat: int, target_flat: int, local_vec: dict) -> dict:
-        """C(source) -> C(target) on quotient coordinates."""
-        red_s, layout_s = self._reducer(source_flat)
-        free = red_s.free_positions
-        block = layout_s["block_dim"]
-        members_s = self.lattice.elements[source_flat].members
-        lifted: dict = {}
-        for i, v in local_vec.items():
-            pos = free[i]
-            lifted[(members_s[pos // block], pos % block)] = v
-        return self.map_into(target_flat, lifted)
+    def block(self, flat: int):
+        """(dim, height, lifts, project) of C(flat), None when it is zero."""
+        members = self.lattice.elements[flat].members
+        if not members:
+            return None
+        dim = len(members) * dim_poly(self.arr.ell - 1, self.d)
+        dim -= self.engine.constraint_rank(members, self.d)
+        if not dim:
+            return None
+        red, layout = self._reducer(flat)
+        size = layout["block_dim"]
+        lifts = [{(members[pos // size], pos % size): self.field.one}
+                 for pos in red.free_positions]
+        return dim, dim, lifts, lambda vec: self.map_into(flat, vec)
 
 
 def _derivation_dims_via_sequences(
@@ -368,107 +369,29 @@ def _derivation_dims_via_sequences(
     cover: CoverIndex,
     d: int,
     n_max: int,
-    tuple_cap: int | None = None,
 ) -> dict[int, int]:
     """Cohomology dimensions of the derivation functor at one degree."""
-    ell = arr.ell
-    field = arr.field
     if d < 0:
         return {n: 0 for n in range(n_max + 1)}
-    engine = engine_for(arr)
-    dim_d_top = engine.space_dim(tuple(range(arr.size)), d)
+    dim_d_top = engine_for(arr).space_dim(tuple(range(arr.size)), d)
     out = {0: dim_d_top}
     if n_max == 0:
         return out
-
-    coker = _CokernelComplex(arr, lattice, d)
-    centers = cover.centers
-    n_centers = len(centers)
-    # H^n for n >= 2 reads H^{n-2} off the cokernel complex, which needs
-    # levels through n-1; level 0 alone suffices for the H^1 formula
-    c_levels = min(n_centers, 1 if n_max <= 1 else n_max)
-    if tuple_cap is None:
-        tuple_cap = DEFAULT_TUPLE_CAP
-    _check_tuple_cap(n_centers, c_levels, tuple_cap)
-
-    # cokernel-complex levels, pruned to tuples with nonzero cokernel
-    levels = []
-    for n in range(c_levels):
-        entries = []
-        total = 0
-        for t in combinations(range(n_centers), n + 1):
-            j = lattice.meet_many(centers[i] for i in t)
-            dim = coker.coker_dim(j)
-            if dim:
-                entries.append((t, j, total, dim))
-                total += dim
-        levels.append((entries, total))
-
-    deltas: list[list[dict]] = []
-    for n in range(c_levels - 1):
-        src_entries, _ = levels[n]
-        dst_entries, dst_total = levels[n + 1]
-        src_pos = {t: (j, off, dim) for (t, j, off, dim) in src_entries}
-        rows: list[dict] = [dict() for _ in range(dst_total)]
-        for (t, j_dst, row_off, _dim) in dst_entries:
-            for k in range(len(t)):
-                sub = t[:k] + t[k + 1 :]
-                if sub not in src_pos:
-                    continue
-                j_src, col_off, dim_src = src_pos[sub]
-                sign = field.one if k % 2 == 0 else field.neg(field.one)
-                for jcol in range(dim_src):
-                    image = coker.restrict(j_src, j_dst, {jcol: field.one})
-                    for i, v in image.items():
-                        r = rows[row_off + i]
-                        w = field.add(r.get(col_off + jcol, field.zero), field.mul(sign, v))
-                        if w == 0:
-                            r.pop(col_off + jcol, None)
-                        else:
-                            r[col_off + jcol] = w
-        deltas.append(rows)
-
-    delta_ranks = [sparse_rank(field, rows) for rows in deltas]
-
-    # rank of the evaluation map H^0(R) -> C^0(C)
-    level0_entries, _ = levels[0]
-    block = dim_poly(ell - 1, d)
-    r0 = 0
-    if level0_entries:
-        columns = []
-        for h in range(arr.size):
-            for idx in range(block):
-                col: dict = {}
-                for (t, j, off, _dim) in level0_entries:
-                    for i, v in coker.map_into(j, {(h, idx): field.one}).items():
-                        col[off + i] = v
-                if col:
-                    columns.append(col)
-        r0 = sparse_rank(field, columns)
-
-    dim_h0_q = arr.size * block - r0
-    h1 = dim_h0_q - ell * dim_poly(ell, d) + dim_d_top
-    if h1 < 0:
+    # H^n reads h^{n-1}, which needs cokernel levels through n-1
+    _check_tuple_cap(len(cover.centers), n_max, DEFAULT_TUPLE_CAP)
+    block = dim_poly(arr.ell - 1, d)
+    one = arr.field.one
+    q_dims = exact_sequence_dims(
+        arr.field, cover.centers, lattice.meet_many,
+        _CokernelComplex(arr, lattice, d).block, arr.size * block,
+        [{(h, idx): one} for h in range(arr.size) for idx in range(block)],
+        n_max - 1,
+    )
+    out[1] = q_dims[0] - arr.ell * dim_poly(arr.ell, d) + dim_d_top
+    if out[1] < 0:
         raise RuntimeError("negative H^1 dimension; exactness bug")
-    out[1] = h1
-    if n_max >= 2:
-        c0_total = levels[0][1]
-        rank0 = delta_ranks[0] if delta_ranks else 0
-        h2 = (c0_total - rank0) - r0
-        if h2 < 0:
-            raise RuntimeError("negative H^2 dimension; exactness bug")
-        out[2] = h2
-    for n in range(3, n_max + 1):
-        k = n - 2  # cokernel-complex level
-        if k >= len(levels):
-            out[n] = 0
-            continue
-        total = levels[k][1]
-        rank_out = delta_ranks[k] if k < len(delta_ranks) else 0
-        rank_in = delta_ranks[k - 1] if k - 1 < len(delta_ranks) else 0
-        out[n] = total - rank_out - rank_in
-        if out[n] < 0:
-            raise RuntimeError("negative cohomology dimension; exactness bug")
+    for n in range(2, n_max + 1):
+        out[n] = q_dims[n - 1]
     return out
 
 
@@ -525,7 +448,6 @@ def lattice_cohomology_table(
     window: tuple[int, int],
     cover: str = "minimal",
     kmax: int = 8,
-    tuple_cap: int | None = None,
 ) -> CohomologyTable:
     """Dimension table of H^n(L0, -)_d for n in [0, ell-1], d in the window."""
     d_min, d_max = window
@@ -538,7 +460,7 @@ def lattice_cohomology_table(
 
     if functor == "D":
         per_degree = {
-            d: _derivation_dims_via_sequences(arr, lattice, cov, d, n_max, tuple_cap)
+            d: _derivation_dims_via_sequences(arr, lattice, cov, d, n_max)
             for d in degrees
         }
         entries = {
@@ -547,7 +469,7 @@ def lattice_cohomology_table(
         return CohomologyTable("D", cov.label, window, entries)
 
     if functor == "O":
-        eng = _truncated_engine(arr, "O", "flats", lattice, cov.centers, cov.label)
+        eng = _truncated_engine(arr, "O", "flats", lattice, cov.centers)
         entries, stabilized, unstable = stabilized_dims(eng, degrees, n_max, kmax)
         return CohomologyTable(
             "O", cov.label, window, entries, stabilized, unstable, kmax
@@ -576,15 +498,6 @@ def acyclicity_probe(
         if set(lattice.elements[i].members) <= members_x
     ]
     sub.sort(key=lambda i: lattice.elements[i].sort_key())
-    field = arr.field
     max_level = min(len(sub) - 1, arr.ell + 1)
-    levels = [
-        _build_level(lattice, functor, tuple(sub), n, d)
-        for n in range(max_level + 1)
-    ]
-    deltas = [
-        _assemble_delta(field, functor, levels[n], levels[n + 1], d)
-        for n in range(max_level)
-    ]
-    complex_ = CechComplex(d, CoverIndex(tuple(sub), "principal"), field, levels, deltas)
-    return cohomology_dims(complex_)
+    cover = CoverIndex(tuple(sub), "principal")
+    return cohomology_dims(_materialize(lattice, functor, cover, max_level, d))

@@ -469,7 +469,7 @@ def freeness_certificate(arr: Arrangement) -> FreenessCertificate:
                 detail="minimal generators match the free profile but fail "
                        "the determinant criterion",
             )
-    elif len(degrees) > ell and sum(degrees) > arr.size:
+    elif len(degrees) > ell:
         cert = FreenessCertificate(
             "not-free", witness_degrees=degrees, scanned_bound=bound,
             detail=f"{len(degrees)} minimal generators by degree {bound}",

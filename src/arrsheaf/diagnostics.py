@@ -26,7 +26,7 @@ from .derivations import (
 from .lattice import IntersectionLattice
 from .linalg import RowReducer
 from .monomials import basis, dim_poly, monomial_tuples
-from .oracle import pd_oracle, punctured_cohomology
+from .oracle import pd_from_middle_levels, pd_oracle, punctured_cohomology
 
 
 class ConsistencyError(RuntimeError):
@@ -98,8 +98,7 @@ def pd_via_lattice(
     window = window or default_window(arr)
     if table is None:
         table = lattice_cohomology_table(arr, lattice, "D", window)
-    middle = [n for (n, _d), dim in table.entries.items() if 0 < n < arr.ell - 1 and dim]
-    return arr.ell - 1 - min(middle) if middle else 0
+    return pd_from_middle_levels(table.entries, arr.ell)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +132,6 @@ def tensor_top_dim(
     exponents,
     d: int,
     free: bool,
-    scan_extra: int = 6,
 ) -> tuple[int, bool]:
     """dim of (derivation module tensor top structure cohomology) in degree d.
 
@@ -164,7 +162,8 @@ def tensor_top_dim(
     stable_streak = 0
     t = d + ell
     e_max = max(degrees)
-    t_cap = max(d + ell, e_max) + 2 * arr.size + scan_extra
+    # the scan gives up 2|A| + 6 degrees past the start or the top generator
+    t_cap = max(d + ell, e_max) + 2 * arr.size + 6
     while t <= t_cap and stable_streak < 2:
         grew = False
         nu_basis = _negative_monomials(ell, d - t)

@@ -122,9 +122,6 @@ class IntersectionLattice:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index_by_members(self, members) -> int:
-        return self._members_index[tuple(sorted(members))]
-
     def leq(self, i: int, j: int) -> bool:
         """The lattice order: X <= Y iff X contains Y iff members nest."""
         return set(self.elements[i].members) <= set(self.elements[j].members)

@@ -5,13 +5,9 @@ fixed denominator power; at truncation level K every tuple space embeds into
 the common space W = M_{d + K q} (q the degree of the product of all
 denominators) by multiplying with the complementary cofactor.  Restrictions
 become literal inclusions of subspaces of W, so the Cech complex at level K
-is the complex of quotient functors W / V_T, and the same exact-sequence
-bookkeeping as on the lattice side applies:
-
-    dim H^0 = dim W - rank(W -> sum of W/V_center)            (= dim of the
-              intersection of the chart subspaces)
-    dim H^1 = dim H^0(quotient complex) - that same rank
-    dim H^n = dim H^{n-1}(quotient complex)                    (n >= 2)
+is the kernel of the constant functor W onto the quotient functor W / V_T.
+``exact_sequence_dims`` states the dimension formulas once; the lattice side
+(``cech``) applies the same function to its cokernel complex.
 
 True cohomology is the direct limit over K; dimensions are reported at the
 first K starting a run of three equal levels (vacuous truncations with an
@@ -44,13 +40,101 @@ from .monomials import (
 
 
 # ---------------------------------------------------------------------------
+# the exact-sequence reduction shared by both engines
+
+
+def exact_sequence_dims(field, centers, join, quotient, global_dim: int,
+                        global_lifts, n_max: int) -> dict[int, int]:
+    """H^0 .. H^{n_max} of V = ker(A -> C) over a cover whose nerve is a full
+    simplex, where A is acyclic with global sections G and A -> C is onto.
+
+    With r0 = rank(G -> C^0) and delta^n the coboundaries of C, the long exact
+    sequence gives
+
+        h^0 = dim G - r0
+        h^1 = dim C^0 - rank delta^0 - r0
+        h^n = dim C^{n-1} - rank delta^{n-1} - rank delta^{n-2}      (n >= 2)
+
+    ``join`` maps a tuple of centers to the key of its intersection.
+    ``quotient(key)`` is None when C(key) = 0 and otherwise (dim, height,
+    lifts, project): dim C(key); the number of coordinates ``project``
+    returns; vectors of A(key) whose images span C(key); and the map taking a
+    vector of A over a face of the key to its coordinates in C(key).
+    ``global_lifts`` span G, of dimension ``global_dim``.
+    """
+    blocks: dict = {}
+    levels = []
+    for n in range(min(n_max + 1, len(centers))):
+        entries = []
+        for t in combinations(range(len(centers)), n + 1):
+            key = join(centers[i] for i in t)
+            if key not in blocks:
+                blocks[key] = quotient(key)
+            if blocks[key] is not None:
+                entries.append((t, blocks[key]))
+        levels.append(entries)
+
+    delta_ranks = []
+    for src, dst in zip(levels, levels[1:]):
+        faces = {}
+        col_off = 0
+        for t, (_dim, _height, lifts, _project) in src:
+            faces[t] = (col_off, lifts)
+            col_off += len(lifts)
+        rows: list[dict] = [dict() for _ in range(sum(b[1] for _t, b in dst))]
+        row_off = 0
+        for t, (_dim, height, _lifts, project) in dst:
+            for k in range(len(t)):
+                face = faces.get(t[:k] + t[k + 1 :])
+                if face is None:
+                    continue
+                c_off, lifts = face
+                sign = field.one if k % 2 == 0 else field.neg(field.one)
+                for j, lift in enumerate(lifts):
+                    for i, v in project(lift).items():
+                        r = rows[row_off + i]
+                        w = field.add(r.get(c_off + j, field.zero), field.mul(sign, v))
+                        if w == 0:
+                            r.pop(c_off + j, None)
+                        else:
+                            r[c_off + j] = w
+            row_off += height
+        delta_ranks.append(sparse_rank(field, rows))
+
+    r0 = 0
+    if levels[0]:
+        columns = []
+        for lift in global_lifts:
+            col: dict = {}
+            off = 0
+            for _t, (_dim, height, _lifts, project) in levels[0]:
+                for i, v in project(lift).items():
+                    col[off + i] = v
+                off += height
+            if col:
+                columns.append(col)
+        r0 = sparse_rank(field, columns)
+
+    # ranks[n] is the rank of the map into C^n: r0, then delta^{n-1}
+    ranks = [r0] + delta_ranks
+    out = {0: global_dim - r0}
+    for n in range(1, n_max + 1):
+        if n > len(levels):
+            out[n] = 0
+            continue
+        rank_out = ranks[n] if n < len(ranks) else 0
+        out[n] = sum(b[0] for _t, b in levels[n - 1]) - rank_out - ranks[n - 1]
+    if any(v < 0 for v in out.values()):
+        raise RuntimeError("negative cohomology dimension; exactness bug")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # cover descriptions
 
 
 class _CoordCover:
     """Charts x_i != 0; a tuple key is the frozenset of inverted variables."""
-
-    label = "coords"
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
@@ -74,12 +158,11 @@ class _CoordCover:
 class _FlatCover:
     """Opens U(X) indexed by lattice flats; denominators are the Q(X)."""
 
-    def __init__(self, arr: Arrangement, lattice: IntersectionLattice, centers, label: str):
+    def __init__(self, arr: Arrangement, lattice: IntersectionLattice, centers):
         self.arr = arr
         self.lattice = lattice
         self.center_keys = list(centers)
         self.full_degree = arr.size
-        self.label = label
         self._cofactors: dict[int, dict] = {}
 
     def join(self, keys) -> int:
@@ -116,6 +199,9 @@ class _Pieces:
     def ambient_dim(self, t: int) -> int:
         return self.blocks * dim_poly(self.arr.ell, t)
 
+    def multiply(self, vec: dict, poly: dict, t_from: int) -> dict:
+        return multiply_vector(self.arr, vec, poly, t_from)
+
     def divisibility_split(self, shift: tuple, num_degree: int, amb_degree: int) -> dict:
         key = (shift, amb_degree)
         hit = self._splits.get(key)
@@ -144,7 +230,6 @@ class _Pieces:
 class _StructurePieces(_Pieces):
     """Graded pieces of S itself: ambient = monomial coordinates."""
 
-    label = "O"
     blocks = 1
 
     def module_dim(self, t: int) -> int:
@@ -153,31 +238,12 @@ class _StructurePieces(_Pieces):
     def module_basis(self, t: int) -> list[dict]:
         return [{i: self.arr.field.one} for i in range(dim_poly(self.arr.ell, t))]
 
-    def multiply(self, vec: dict, poly: dict, t_from: int) -> dict:
-        f = self.arr.field
-        src = basis(self.arr.ell, t_from)
-        deg = max(sum(m) for m in poly)
-        dst = basis(self.arr.ell, t_from + deg)
-        out: dict = {}
-        for i, c in vec.items():
-            m = src.tuples[i]
-            for mp, cp in poly.items():
-                key = dst.index[tuple(a + b for a, b in zip(m, mp))]
-                w = f.add(out.get(key, f.zero), f.mul(c, cp))
-                if w == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = w
-        return out
-
     def constraint_columns_at(self, t: int) -> dict:
         return {"rows": 0, "columns": [{} for _ in range(max(0, dim_poly(self.arr.ell, t)))]}
 
 
 class _DerivationPieces(_Pieces):
     """Graded pieces of the full derivation module inside S_t^ell."""
-
-    label = "D"
 
     def __init__(self, arr: Arrangement):
         super().__init__(arr)
@@ -190,9 +256,6 @@ class _DerivationPieces(_Pieces):
 
     def module_basis(self, t: int) -> list[dict]:
         return self.engine.space_basis(self.all_members, t)
-
-    def multiply(self, vec: dict, poly: dict, t_from: int) -> dict:
-        return multiply_vector(self.arr, vec, poly, t_from)
 
     def constraint_columns_at(self, t: int) -> dict:
         cols, layout = self.engine.constraint_columns(self.all_members, t)
@@ -217,10 +280,8 @@ class _TupleSpace:
     """
 
     def __init__(self, engine: "TruncatedEngine", key, num_degree: int, amb_degree: int):
-        pieces = engine.pieces
         field = engine.field
         self.field = field
-        self.dim = pieces.module_dim(amb_degree) - pieces.module_dim(num_degree)
         power = engine.cofactor_power(key, amb_degree - num_degree) if num_degree >= 0 else None
         if power is not None and len(power) == 1 and next(iter(power.values())) == field.one:
             shift = next(iter(power))
@@ -324,121 +385,29 @@ class TruncatedEngine:
         return hit
 
     def dims_at(self, d: int, k: int, n_max: int) -> dict[int, int]:
-        """H^0 .. H^{n_max} of the level-k truncated complex in degree d."""
+        """H^0 .. H^{n_max} of the level-k truncated complex in degree d:
+        ``exact_sequence_dims`` with G = W = M_{d + k q} and C(T) = W / V_T."""
         cover = self.cover
-        centers = cover.center_keys
-        n_centers = len(centers)
         amb_degree = d + k * cover.full_degree
         w_dim = self.pieces.module_dim(amb_degree)
         if w_dim == 0:
             return {n: 0 for n in range(n_max + 1)}
-
-        def num_degree(key) -> int:
-            return d + k * cover.multiplier_degree(key)
-
-        # quotient-complex levels, pruned to nonzero quotients; block sizes for
-        # matrix assembly use the ambient quotient (W/V embeds in ambient/V,
-        # which is what quotient coordinates index), while the cohomology
-        # bookkeeping uses the true section dimension dim W - dim V
-        t_levels = min(n_max + 1, n_centers)
-        levels = []
-        for n in range(t_levels):
-            entries = []
-            total = 0
-            for t in combinations(range(n_centers), n + 1):
-                key = cover.join(centers[i] for i in t)
-                dim = w_dim - self.pieces.module_dim(num_degree(key))
-                if dim:
-                    entries.append((t, key, dim))
-                    total += dim
-            levels.append((entries, total))
-
-        spaces: dict = {}
-
-        def space_for(key) -> _TupleSpace:
-            if key not in spaces:
-                spaces[key] = self.tuple_space(key, num_degree(key), amb_degree)
-            return spaces[key]
-
-        # coboundary ranks: each source block is spanned by the images of the
-        # whole W-basis (the projections W -> W/V are onto, so ranks of the
-        # assembled spanning columns equal the ranks of the coboundaries)
+        # the projections W -> W/V are onto, so the whole W-basis spans every
+        # block; block coordinates index ambient/V, in which W/V embeds, so a
+        # block's height can exceed its dimension dim W - dim V
         w_vectors = self.w_basis(amb_degree)
-        deltas = []
-        for n in range(t_levels - 1):
-            src_entries, _ = levels[n]
-            dst_entries, _ = levels[n + 1]
-            src_pos = {}
-            col_off = 0
-            for (t, key, _dim) in src_entries:
-                src_pos[t] = (key, col_off)
-                col_off += len(w_vectors)
-            rows_total = sum(space_for(key).out_dim for (_t, key, _dim) in dst_entries)
-            rows: list[dict] = [dict() for _ in range(rows_total)]
-            row_off = 0
-            for (t, key_dst, _dim) in dst_entries:
-                dst_space = space_for(key_dst)
-                for kk in range(len(t)):
-                    sub = t[:kk] + t[kk + 1 :]
-                    if sub not in src_pos:
-                        continue
-                    _key_src, c_off = src_pos[sub]
-                    sign = self.field.one if kk % 2 == 0 else self.field.neg(self.field.one)
-                    for j, w_vec in enumerate(w_vectors):
-                        for i, v in dst_space.coords(w_vec).items():
-                            r = rows[row_off + i]
-                            w = self.field.add(
-                                r.get(c_off + j, self.field.zero),
-                                self.field.mul(sign, v),
-                            )
-                            if w == 0:
-                                r.pop(c_off + j, None)
-                            else:
-                                r[c_off + j] = w
-                row_off += dst_space.out_dim
-            deltas.append(rows)
-        delta_ranks = [sparse_rank(self.field, rows) for rows in deltas]
 
-        # rank of W -> sum of W/V_center
-        level0_entries, _ = levels[0]
-        r0 = 0
-        if level0_entries:
-            center_spaces = []
-            off = 0
-            for (_t, key, _dim) in level0_entries:
-                sp = space_for(key)
-                center_spaces.append((off, sp))
-                off += sp.out_dim
-            columns = []
-            for w in w_vectors:
-                col: dict = {}
-                for c_off, sp in center_spaces:
-                    for i, v in sp.coords(w).items():
-                        col[c_off + i] = v
-                if col:
-                    columns.append(col)
-            r0 = sparse_rank(self.field, columns)
+        def quotient(key):
+            num_degree = d + k * cover.multiplier_degree(key)
+            dim = w_dim - self.pieces.module_dim(num_degree)
+            if not dim:
+                return None
+            space = self.tuple_space(key, num_degree, amb_degree)
+            return dim, space.out_dim, w_vectors, space.coords
 
-        out = {0: w_dim - r0}
-        if n_max >= 1:
-            c0_total = levels[0][1]
-            rank0 = delta_ranks[0] if delta_ranks else 0
-            h1 = (c0_total - rank0) - r0
-            if h1 < 0:
-                raise RuntimeError("negative truncated H^1; exactness bug")
-            out[1] = h1
-        for n in range(2, n_max + 1):
-            kk = n - 1
-            if kk >= len(levels):
-                out[n] = 0
-                continue
-            total = levels[kk][1]
-            rank_out = delta_ranks[kk] if kk < len(delta_ranks) else 0
-            rank_in = delta_ranks[kk - 1] if kk - 1 < len(delta_ranks) else 0
-            out[n] = total - rank_out - rank_in
-            if out[n] < 0:
-                raise RuntimeError("negative truncated cohomology; exactness bug")
-        return out
+        return exact_sequence_dims(
+            self.field, cover.center_keys, cover.join, quotient, w_dim, w_vectors, n_max
+        )
 
 
 _engine_cache: dict = {}
@@ -446,7 +415,7 @@ _engine_cache: dict = {}
 
 def _truncated_engine(arr: Arrangement, module: str, cover: str,
                       lattice: IntersectionLattice | None = None,
-                      centers=None, label: str | None = None) -> TruncatedEngine:
+                      centers=None) -> TruncatedEngine:
     if cover == "coords":
         cov_key = ("coords",)
     else:
@@ -458,7 +427,7 @@ def _truncated_engine(arr: Arrangement, module: str, cover: str,
     if cover == "coords":
         cov = _CoordCover(arr)
     else:
-        cov = _FlatCover(arr, lattice, centers, label or "arrangement")
+        cov = _FlatCover(arr, lattice, centers)
     pieces = _StructurePieces(arr) if module == "O" else _DerivationPieces(arr)
     eng = TruncatedEngine(arr, cov, pieces)
     _engine_cache[key] = eng
@@ -575,7 +544,7 @@ def punctured_cohomology(
         if lattice is None:
             raise ValueError("arrangement cover needs the intersection lattice")
         centers = lattice.l0_minimal_indices()
-        eng = _truncated_engine(arr, module, "flats", lattice, centers, "arrangement")
+        eng = _truncated_engine(arr, module, "flats", lattice, centers)
     else:
         raise ValueError("cover must be 'coords' or 'arrangement'")
 
@@ -586,6 +555,13 @@ def punctured_cohomology(
         module, cover if cover == "coords" else "arrangement",
         window, kmax, entries, stabilized, unstable,
     )
+
+
+def pd_from_middle_levels(entries: dict, ell: int) -> int:
+    """Smallest p with H^n vanishing for 0 < n < ell-1-p, read off (n, d)
+    cells: ell-1 minus the lowest nonzero middle level, 0 if there is none."""
+    middle = [n for (n, _d), dim in entries.items() if 0 < n < ell - 1 and dim]
+    return ell - 1 - min(middle) if middle else 0
 
 
 def local_cohomology_dims(
@@ -628,21 +604,19 @@ def pd_oracle(
 ) -> dict:
     """Smallest projective dimension consistent with local cohomology
     vanishing observed on the window (window-scoped, never exceeds ell-2).
+    By Auslander-Buchsbaum through the lowest nonzero local cohomology
+    H^{n+1} = H^n(punctured), this is ``pd_from_middle_levels`` of the
+    punctured entries; ``unstable`` lists the unstable cells it read, in
+    local indexing.
     ``punctured`` is an already computed D run on the same window and kmax."""
-    local = local_cohomology_dims(arr, window, kmax, cover, lattice, punctured)
-    lowest_nonzero = None
-    for (i, d), dim in sorted(local["entries"].items()):
-        if i < arr.ell and dim:
-            lowest_nonzero = i if lowest_nonzero is None else min(lowest_nonzero, i)
-    p = 0 if lowest_nonzero is None else arr.ell - lowest_nonzero
-    relevant_unstable = tuple(
-        (i, d) for (i, d) in local["unstable"] if i < arr.ell
-    )
+    if punctured is None:
+        punctured = punctured_cohomology(arr, "D", cover, window, kmax, lattice)
+    ell = arr.ell
     return {
-        "pd": p,
+        "pd": pd_from_middle_levels(punctured.entries, ell),
         "window": window,
         "kmax": kmax,
-        "unstable": relevant_unstable,
+        "unstable": tuple((n + 1, d) for (n, d) in punctured.unstable if 0 < n < ell - 1),
     }
 
 

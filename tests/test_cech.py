@@ -2,8 +2,9 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from arrsheaf.arrangement import catalog
+from arrsheaf.arrangement import ArrangementError, catalog, parse_arrangement
 from arrsheaf.cech import (
     CapExceeded,
     CoverIndex,
@@ -19,6 +20,7 @@ from arrsheaf.cech import (
 )
 from arrsheaf.derivations import derivation_space
 from arrsheaf.lattice import build_lattice
+from arrsheaf.oracle import _truncated_engine
 
 
 def test_boolean2_complex_matches_hand_computation(boolean2, boolean2_lattice):
@@ -98,6 +100,52 @@ def test_shortcut_equals_direct_complex(name, params, degrees):
         direct = cohomology_dims(build_cech_complex(lat, F, cov, d))
         for n in range(arr.ell):
             assert table.dim(n, d) == direct.get(n, 0), (name, n, d)
+
+
+@pytest.mark.parametrize(
+    "params", [("boolean", 2), ("boolean", 3), ("near-pencil", 4), ("generic", 3, 4)]
+)
+def test_structure_engine_equals_direct_complex(params):
+    """The truncated O engine on the minimal flat cover must reproduce the
+    materialized complex of the structure functor at the same level."""
+    arr = catalog(*params)
+    lat = build_lattice(arr)
+    cov = minimal_cover(lat)
+    eng = _truncated_engine(arr, "O", "flats", lat, cov.centers)
+    for k in (1, 2):
+        F = StructureFunctor(arr, lat, k)
+        for d in (-arr.size - 1, -1, 0, 1):
+            direct = cohomology_dims(build_cech_complex(lat, F, cov, d))
+            assert eng.dims_at(d, k, arr.ell - 1) == {
+                n: direct[n] for n in range(arr.ell)
+            }, (params, k, d)
+
+
+_normals = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(normals=st.lists(_normals, min_size=3, max_size=5),
+       field=st.sampled_from(["Q", "Fp 2147483647"]))
+def test_shortcut_equals_direct_complex_random(normals, field):
+    """Random ell = 3 arrangements: the exact-sequence D table equals the
+    materialized complex cell by cell."""
+    text = f"field {field}\ndim 3\n" + "".join(
+        "hyperplane " + " ".join(map(str, n)) + "\n" for n in normals
+    )
+    try:
+        arr = parse_arrangement(text)
+    except ArrangementError:  # proportional normals or not essential
+        assume(False)
+    lat = build_lattice(arr)
+    F = DerivationFunctor(arr, lat)
+    cov = minimal_cover(lat)
+    table = lattice_cohomology_table(arr, lat, "D", (0, 2))
+    for d in range(0, 3):
+        direct = cohomology_dims(build_cech_complex(lat, F, cov, d))
+        for n in range(3):
+            assert table.dim(n, d) == direct.get(n, 0), (text, n, d)
 
 
 def test_full_vs_minimal_cover_dimensions(braid3, braid3_lattice):
