@@ -49,16 +49,7 @@ from .diagnostics import (
     pd_via_lattice,
 )
 from .lattice import IntersectionLattice, LatticeElement, build_lattice
-from .linalg import (
-    GF,
-    QQ,
-    ExactMatrix,
-    Field,
-    kernel_basis,
-    rank,
-    rref,
-    solve_consistent,
-)
+from .linalg import GF, QQ, Field
 from .oracle import (
     PuncturedCohomologyResult,
     TruncatedLocalizedPiece,

@@ -108,13 +108,12 @@ class DerivationFunctor:
     def restriction_columns(self, source: int, target: int, d: int) -> list[dict]:
         """Columns of the inclusion D(A_source)_d -> D(A_target)_d
         (source flat inside target flat)."""
-        m = inclusion_matrix(
+        return inclusion_matrix(
             self.arr,
             self.lattice.elements[source].members,
             self.lattice.elements[target].members,
             d,
         )
-        return m.col_dicts()
 
 
 class StructureFunctor:

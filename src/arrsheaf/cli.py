@@ -181,7 +181,7 @@ def main(argv=None) -> int:
                 )
             members = lattice.elements[args.flat].members
             space = derivation_space(arr, members, args.degree)
-            mono = basis(arr.ell, max(args.degree, 0))
+            mono = basis(arr.ell, args.degree)
             columns = []
             for vec in space.vectors:
                 polys = vector_to_polys(vec, arr.ell, args.degree)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .arrangement import Arrangement, ArrangementError, members_of
 from .linalg import (
     ColumnSpace,
-    ExactMatrix,
     RowReducer,
     _integerized,
     sparse_kernel_basis,
@@ -294,13 +293,14 @@ def multiply_vector(arr: Arrangement, vec: dict, poly: dict, d_from: int) -> dic
 # restriction maps
 
 
-def inclusion_matrix(arr: Arrangement, flat_small, flat_large, d: int) -> ExactMatrix:
+def inclusion_matrix(arr: Arrangement, flat_small, flat_large, d: int) -> list[dict]:
     """Coordinates of D(A_Y)_d inside D(A_X)_d for flats Y inside X.
 
     Arguments are lattice elements or member index sets (A_Y and A_X); the
-    precondition Y inside X means A_X is a subset of A_Y.  The result has
-    full column rank; an inconsistent solve would mean the inclusion fails
-    and is raised as FunctorError.
+    precondition Y inside X means A_X is a subset of A_Y.  The result is one
+    sparse column {index in the basis of D(A_X)_d: coefficient} per basis
+    vector of D(A_Y)_d, of full column rank; a vector outside the span would
+    mean the inclusion fails and is raised as FunctorError.
     """
     small = members_of(flat_small)
     large = members_of(flat_large)
@@ -312,17 +312,13 @@ def inclusion_matrix(arr: Arrangement, flat_small, flat_large, d: int) -> ExactM
     b_small = eng.space_basis(small, d)
     b_large = eng.space_basis(large, d)
     space = ColumnSpace(arr.field, b_large, eng.ambient_dim(d))
-    f = arr.field
     coords = []
     for v in b_small:
         c = space.coordinates(v)
         if c is None:
             raise FunctorError("derivation inclusion failed; constraint bug")
         coords.append(c)
-    rows = []
-    for i in range(len(b_large)):
-        rows.append(tuple(c.get(i, f.zero) for c in coords))
-    return ExactMatrix(f, len(b_large), len(b_small), tuple(rows))
+    return coords
 
 
 # ---------------------------------------------------------------------------

@@ -122,10 +122,6 @@ class IntersectionLattice:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def leq(self, i: int, j: int) -> bool:
-        """The lattice order: X <= Y iff X contains Y iff members nest."""
-        return set(self.elements[i].members) <= set(self.elements[j].members)
-
     def meet(self, i: int, j: int) -> int:
         """Meet in the full lattice; this is the join of L0 under inclusion."""
         return self.meet_table[i][j]

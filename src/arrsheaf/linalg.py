@@ -4,22 +4,19 @@ Scalars are plain Python objects: ``int`` / ``fractions.Fraction`` over the
 rationals, ``int`` residues in ``[0, p)`` over a prime field.  Everything here
 is exact; there is no floating point anywhere in the package.
 
-Two layers:
-
-* a public dense :class:`ExactMatrix` with ``rref`` / ``rank`` /
-  ``kernel_basis`` / ``solve_consistent``,
-* a sparse row-dict core (:class:`RowReducer`, :func:`sparse_rref`, ...) that
-  the cohomology engines feed directly.  Both layers use the same fixed
-  pivoting rule (first nonzero in column order), so bases are deterministic
-  across runs.
+There is one matrix representation: a sparse row (or column) is a dict
+``{index: nonzero scalar}`` and a matrix is a list of them.  Ranks over Q go
+through integer fraction-free elimination (:func:`sparse_rank`); echelon
+forms, kernels, quotients and coordinates go through :class:`RowReducer`.
+Every elimination uses the same fixed pivoting rule (first nonzero in
+column order), so bases are deterministic across runs.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def _is_prime(n: int) -> bool:
@@ -176,18 +173,6 @@ def GF(p: int) -> PrimeField:
 # sparse core: vectors and rows are dicts {column index: nonzero scalar}
 
 
-def vec_sub_scaled(field: Field, row: dict, factor, other: dict) -> dict:
-    """row - factor*other, dropping entries that become zero."""
-    out = dict(row)
-    for j, v in other.items():
-        w = field.sub(out.get(j, field.zero), field.mul(factor, v))
-        if w == 0:
-            out.pop(j, None)
-        else:
-            out[j] = w
-    return out
-
-
 def _sub_scaled_inplace(field: Field, row: dict, factor, other: dict) -> None:
     zero = field.zero
     sub, mul = field.sub, field.mul
@@ -333,7 +318,7 @@ def sparse_rref(field: Field, rows: Iterable[dict]) -> tuple[list[dict], list[in
         row = dict(red.pivot_rows[j])
         for k in sorted(set(row) & set(reduced)):
             if k in row:
-                row = vec_sub_scaled(field, row, row[k], reduced[k])
+                _sub_scaled_inplace(field, row, row[k], reduced[k])
         reduced[j] = row
     return [reduced[j] for j in pivots], pivots
 
@@ -372,14 +357,6 @@ class SubspaceReducer:
             self._red.add_row(g)
         self._free: list[int] | None = None
 
-    def add(self, vec: dict) -> bool:
-        self._free = None
-        return self._red.add_row(vec)
-
-    @property
-    def subspace_dim(self) -> int:
-        return self._red.rank
-
     @property
     def quotient_dim(self) -> int:
         return self.ambient_dim - self._red.rank
@@ -397,135 +374,6 @@ class SubspaceReducer:
         index = {pos: i for i, pos in enumerate(self.free_positions)}
         return {index[j]: v for j, v in residue.items()}
 
-    def contains(self, vec: dict) -> bool:
-        return not self._red.reduce(vec)
-
-
-# ---------------------------------------------------------------------------
-# public dense matrix
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Immutable dense matrix with exact entries over a fixed field."""
-
-    field: Field
-    rows: int
-    cols: int
-    entries: tuple
-
-    @staticmethod
-    def from_rows(field: Field, rows: Sequence[Sequence]) -> "ExactMatrix":
-        n = len(rows)
-        m = len(rows[0]) if n else 0
-        for r in rows:
-            if len(r) != m:
-                raise ValueError("ragged rows")
-        return ExactMatrix(field, n, m, tuple(tuple(r) for r in rows))
-
-    @staticmethod
-    def zero(field: Field, rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix(field, rows, cols, tuple((field.zero,) * cols for _ in range(rows)))
-
-    @staticmethod
-    def identity(field: Field, n: int) -> "ExactMatrix":
-        return ExactMatrix.from_rows(
-            field, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-        )
-
-    def row_dicts(self) -> list[dict]:
-        return [{j: v for j, v in enumerate(row) if v != 0} for row in self.entries]
-
-    def col_dicts(self) -> list[dict]:
-        cols: list[dict] = [dict() for _ in range(self.cols)]
-        for i, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                if v != 0:
-                    cols[j][i] = v
-        return cols
-
-    def mul_vec(self, vec: Sequence) -> list:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        f = self.field
-        out = []
-        for row in self.entries:
-            s = f.zero
-            for a, b in zip(row, vec):
-                s = f.add(s, f.mul(a, b))
-            out.append(s)
-        return out
-
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        f = self.field
-        rows = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                s = f.zero
-                for k in range(self.cols):
-                    s = f.add(s, f.mul(self.entries[i][k], other.entries[k][j]))
-                row.append(s)
-            rows.append(row)
-        return ExactMatrix.from_rows(f, rows) if rows else ExactMatrix.zero(f, 0, other.cols)
-
-
-def _dense_from_sparse_rows(field: Field, rows: list[dict], cols: int) -> ExactMatrix:
-    dense = []
-    for row in rows:
-        r = [field.zero] * cols
-        for j, v in row.items():
-            r[j] = v
-        dense.append(tuple(r))
-    return ExactMatrix(field, len(dense), cols, tuple(dense))
-
-
-def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
-    """Reduced row echelon form and pivot columns; row space preserved.
-
-    Zero rows are kept so the shape matches the input.
-    """
-    rows, pivots = sparse_rref(m.field, m.row_dicts())
-    while len(rows) < m.rows:
-        rows.append({})
-    return _dense_from_sparse_rows(m.field, rows, m.cols), pivots
-
-
-def rank(m: ExactMatrix) -> int:
-    return sparse_rank(m.field, m.row_dicts())
-
-
-def kernel_basis(m: ExactMatrix) -> ExactMatrix:
-    """Matrix whose columns form a basis of the right null space of m."""
-    vecs = sparse_kernel_basis(m.field, m.row_dicts(), m.cols)
-    f = m.field
-    rows = []
-    for i in range(m.cols):
-        rows.append(tuple(vec.get(i, f.zero) for vec in vecs))
-    return ExactMatrix(f, m.cols, len(vecs), tuple(rows))
-
-
-def solve_consistent(m: ExactMatrix, rhs: Sequence):
-    """A particular solution of m x = rhs, or None when inconsistent."""
-    if len(rhs) != m.rows:
-        raise ValueError("dimension mismatch: rhs length != rows")
-    f = m.field
-    augmented = []
-    for i, row in enumerate(m.row_dicts()):
-        row = dict(row)
-        if rhs[i] != 0:
-            row[m.cols] = rhs[i]
-        augmented.append(row)
-    rows, pivots = sparse_rref(f, augmented)
-    if m.cols in pivots:
-        return None
-    solution = [f.zero] * m.cols
-    for p, row in zip(pivots, rows):
-        solution[p] = row.get(m.cols, f.zero)
-    return solution
-
 
 class ColumnSpace:
     """Cached echelon data for repeatedly expressing vectors in a column span.
@@ -537,7 +385,6 @@ class ColumnSpace:
     def __init__(self, field: Field, columns: list[dict], ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.ncols = len(columns)
         rows = []
         for i, col in enumerate(columns):
             row = {j: v for j, v in col.items()}

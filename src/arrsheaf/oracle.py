@@ -34,8 +34,8 @@ from .monomials import (
     basis,
     dim_poly,
     poly_from_linear,
-    poly_mul,
     poly_pow,
+    poly_product,
 )
 
 
@@ -174,10 +174,13 @@ class _FlatCover:
     def cofactor_poly(self, key: int) -> dict:
         hit = self._cofactors.get(key)
         if hit is None:
-            f = self.arr.field
-            hit = {(0,) * self.arr.ell: f.one}
-            for h in self.lattice.elements[key].members:
-                hit = poly_mul(f, hit, poly_from_linear(self.arr.normal(h), self.arr.ell))
+            arr = self.arr
+            hit = poly_product(
+                arr.field,
+                (poly_from_linear(arr.normal(h), arr.ell)
+                 for h in self.lattice.elements[key].members),
+                arr.ell,
+            )
             self._cofactors[key] = hit
         return hit
 
@@ -198,9 +201,6 @@ class _Pieces:
 
     def ambient_dim(self, t: int) -> int:
         return self.blocks * dim_poly(self.arr.ell, t)
-
-    def multiply(self, vec: dict, poly: dict, t_from: int) -> dict:
-        return multiply_vector(self.arr, vec, poly, t_from)
 
     def divisibility_split(self, shift: tuple, num_degree: int, amb_degree: int) -> dict:
         key = (shift, amb_degree)
@@ -307,7 +307,7 @@ class _TupleSpace:
         generators = []
         if num_degree >= 0:
             for v in pieces.module_basis(num_degree):
-                generators.append(pieces.multiply(v, power, num_degree))
+                generators.append(multiply_vector(engine.arr, v, power, num_degree))
         self.reducer = SubspaceReducer(
             engine.field, pieces.ambient_dim(amb_degree), generators
         )
@@ -443,6 +443,8 @@ def stabilized_dims(eng: TruncatedEngine, degrees, n_max: int, kmax: int):
     value and are listed as unstable.  Returns (entries, stabilized_at,
     unstable), keyed by (n, d).
     """
+    if kmax < 2:
+        raise ValueError("kmax must be at least 2")
     q_full = eng.cover.full_degree
     entries: dict = {}
     stabilized: dict = {}
@@ -534,8 +536,6 @@ def punctured_cohomology(
     truncation levels; cells that never settle below kmax are flagged
     unstable rather than raised.
     """
-    if kmax < 2:
-        raise ValueError("kmax must be at least 2")
     if module not in ("D", "O"):
         raise ValueError("module must be 'D' or 'O'")
     if cover == "coords":
@@ -568,8 +568,6 @@ def local_cohomology_dims(
     arr: Arrangement,
     window: tuple[int, int] = (-6, 6),
     kmax: int = 8,
-    cover: str = "coords",
-    lattice: IntersectionLattice | None = None,
     punctured: PuncturedCohomologyResult | None = None,
 ) -> dict:
     """Graded dims of the local cohomology of the derivation module.
@@ -580,7 +578,7 @@ def local_cohomology_dims(
     already computed D run on the same window and kmax.
     """
     if punctured is None:
-        punctured = punctured_cohomology(arr, "D", cover, window, kmax, lattice)
+        punctured = punctured_cohomology(arr, "D", "coords", window, kmax)
     entries: dict = {}
     unstable = set(punctured.unstable)
     flagged = []
@@ -598,8 +596,6 @@ def pd_oracle(
     arr: Arrangement,
     window: tuple[int, int] = (-6, 6),
     kmax: int = 8,
-    cover: str = "coords",
-    lattice: IntersectionLattice | None = None,
     punctured: PuncturedCohomologyResult | None = None,
 ) -> dict:
     """Smallest projective dimension consistent with local cohomology
@@ -610,7 +606,7 @@ def pd_oracle(
     local indexing.
     ``punctured`` is an already computed D run on the same window and kmax."""
     if punctured is None:
-        punctured = punctured_cohomology(arr, "D", cover, window, kmax, lattice)
+        punctured = punctured_cohomology(arr, "D", "coords", window, kmax)
     ell = arr.ell
     return {
         "pd": pd_from_middle_levels(punctured.entries, ell),
@@ -657,14 +653,6 @@ def localized_derivations(
     )
 
 
-def _multiplier_poly(arr: Arrangement, multiplier: FormProduct) -> dict:
-    f = arr.field
-    out = {(0,) * arr.ell: f.one}
-    for h in multiplier.factors:
-        out = poly_mul(f, out, poly_from_linear(arr.normal(h), arr.ell))
-    return out
-
-
 def localization_identity_check(
     arr: Arrangement,
     lattice: IntersectionLattice,
@@ -700,7 +688,9 @@ def localization_identity_check(
         meet_red.add_row(v)
     forward = all(meet_red.contains(v) for v in side_y)
 
-    q_poly = _multiplier_poly(arr, multiplier)
+    q_poly = poly_product(
+        f, (poly_from_linear(arr.normal(h), arr.ell) for h in multiplier.factors), arr.ell
+    )
     next_y = eng.space_basis(tuple(sorted(y_members)), t + multiplier.degree)
     y_next_red = RowReducer(f)
     for v in next_y:
@@ -723,6 +713,8 @@ def truncation_monotone(arr: Arrangement, members, multiplier: FormProduct, d: i
     vecs = eng.space_basis(tuple(sorted(members)), t)
     if not vecs:
         return True
-    poly = _multiplier_poly(arr, multiplier)
+    poly = poly_product(
+        arr.field, (poly_from_linear(arr.normal(h), arr.ell) for h in multiplier.factors), arr.ell
+    )
     images = [multiply_vector(arr, v, poly, t) for v in vecs]
     return sparse_rank(arr.field, images) == len(vecs)

@@ -1,0 +1,34 @@
+"""The benchmark tracer wraps package functions by name; a rename or a
+deletion of a hooked name must fail here rather than in the benchmark."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+# tracer.py imports only the standard library
+_spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+_tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_tracer)
+HOOKS = _tracer.HOOKS
+
+
+@pytest.mark.parametrize("module_name,path", [(h[0], h[1]) for h in HOOKS])
+def test_hook_resolves(module_name, path):
+    owner = importlib.import_module(f"arrsheaf.{module_name}")
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_rank_hook_reads_rows_argument():
+    # _rank_counts reads the row list as the second positional argument
+    from arrsheaf.linalg import sparse_rank
+
+    params = list(inspect.signature(sparse_rank).parameters)
+    assert params[:2] == ["field", "rows"]

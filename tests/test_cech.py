@@ -165,6 +165,11 @@ def test_full_vs_minimal_structure_functor(boolean2, boolean2_lattice):
     assert t_min.entries == t_full.entries
 
 
+def test_structure_table_kmax_validation(boolean2, boolean2_lattice):
+    with pytest.raises(ValueError, match="kmax"):
+        lattice_cohomology_table(boolean2, boolean2_lattice, "O", (-2, 2), kmax=1)
+
+
 def test_derivation_table_h0_is_global_sections(braid3, braid3_lattice):
     table = lattice_cohomology_table(braid3, braid3_lattice, "D", (0, 5))
     for d in range(0, 6):

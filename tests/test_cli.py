@@ -66,6 +66,17 @@ def test_derivations_subcommand(tmp_path, capsys):
     assert payload["basis"]
 
 
+def test_derivations_negative_degree_has_no_monomials(tmp_path, capsys):
+    f = tmp_path / "b2.arr"
+    f.write_text("field Q\ndim 2\nhyperplane 1 0\nhyperplane 0 1\n")
+    code = main(["derivations", str(f), "--flat", "0", "--degree", "-1"])
+    out, _ = capsys.readouterr()
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["monomial_order"] == []
+    assert payload["dim"] == 0
+
+
 def test_derivations_bad_flat_index(tmp_path, capsys):
     f = tmp_path / "b2.arr"
     f.write_text("field Q\ndim 2\nhyperplane 1 0\nhyperplane 0 1\n")
@@ -88,6 +99,16 @@ def test_cohomology_json_and_table(tmp_path, capsys):
     )
     out, _ = capsys.readouterr()
     assert code == EXIT_OK and "n" in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("kmax", ["1", "-2"])
+def test_cohomology_structure_kmax_below_two_rejected(tmp_path, capsys, kmax):
+    f = tmp_path / "b2.arr"
+    f.write_text("field Q\ndim 2\nhyperplane 1 0\nhyperplane 0 1\n")
+    code = main(["cohomology", str(f), "--functor", "O", "--kmax", kmax])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT and out == ""
+    assert "kmax must be at least 2" in err
 
 
 def test_bad_window(tmp_path, capsys):

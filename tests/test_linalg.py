@@ -2,29 +2,33 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrsheaf.linalg import (
     GF,
     QQ,
     ColumnSpace,
-    ExactMatrix,
     PrimeField,
     RowReducer,
     SubspaceReducer,
-    kernel_basis,
-    rank,
-    rref,
-    solve_consistent,
+    _sparse_rank_fraction_free,
+    sparse_kernel_basis,
     sparse_rank,
+    sparse_rref,
 )
 
 
-def M(field, rows):
-    return ExactMatrix.from_rows(field, rows)
+def sparse(rows):
+    """Dense rows -> the package's sparse row dicts."""
+    return [{j: v for j, v in enumerate(row) if v != 0} for row in rows]
+
+
+def identity(n):
+    return [{i: 1} for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
-# independent oracle: plain textbook elimination, no sharing with the library
+# independent oracles: plain textbook elimination, no sharing with the library
 
 
 def naive_rank(p, rows):
@@ -52,70 +56,73 @@ def naive_rank(p, rows):
     return rank_
 
 
+def fraction_rank(rows, m):
+    rows = [[Fraction(v) for v in r] for r in rows]
+    rank_ = 0
+    for col in range(m):
+        pivot = next((i for i in range(rank_, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
+        for i in range(rank_ + 1, len(rows)):
+            f = rows[i][col] / rows[rank_][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank_])]
+        rank_ += 1
+    return rank_
+
+
+def annihilates(field, rows, vec):
+    """M vec = 0, with plain integer/Fraction dot products reduced mod p."""
+    p = field.characteristic
+    for row in rows:
+        dot = sum(v * vec.get(j, 0) for j, v in row.items())
+        if (dot % p if p else dot) != 0:
+            return False
+    return True
+
+
 def test_rref_identity():
-    m = ExactMatrix.identity(QQ, 2)
-    r, pivots = rref(m)
-    assert r.entries == m.entries
+    rows, pivots = sparse_rref(QQ, identity(2))
+    assert rows == identity(2)
     assert pivots == [0, 1]
 
 
 def test_rref_rank_one_forced():
-    r, pivots = rref(M(QQ, [[2, 4], [1, 2]]))
-    assert r.entries == ((1, 2), (0, 0))
+    rows, pivots = sparse_rref(QQ, sparse([[2, 4], [1, 2]]))
+    assert rows == [{0: 1, 1: 2}]
     assert pivots == [0]
 
 
 def test_rref_mod2_hand_elimination():
     # [[1,1],[1,2]] over F2 is [[1,1],[1,0]]; eliminating by hand gives I
     f2 = GF(2)
-    r, pivots = rref(M(f2, [[1, 1], [1, 2 % 2]]))
+    rows, pivots = sparse_rref(f2, sparse([[1, 1], [1, 2 % 2]]))
     assert pivots == [0, 1]
-    assert r.entries == ((1, 0), (0, 1))
+    assert rows == identity(2)
 
 
 def test_rank_examples():
-    assert rank(ExactMatrix.zero(QQ, 3, 5)) == 0
-    assert rank(ExactMatrix.identity(QQ, 4)) == 4
-    assert rank(M(QQ, [[1, 2, 3], [2, 4, 6]])) == 1
+    for field in (QQ, GF(5)):
+        assert sparse_rank(field, sparse([[0] * 5] * 3)) == 0
+        assert sparse_rank(field, identity(4)) == 4
+        assert sparse_rank(field, sparse([[1, 2, 3], [2, 4, 6]])) == 1
 
 
 def test_kernel_identity_empty():
-    k = kernel_basis(ExactMatrix.identity(QQ, 3))
-    assert k.cols == 0
+    assert sparse_kernel_basis(QQ, identity(3), 3) == []
 
 
 def test_kernel_zero_matrix_full():
-    k = kernel_basis(ExactMatrix.zero(QQ, 2, 3))
-    assert k.cols == 3
-    assert rank(k) == 3
+    k = sparse_kernel_basis(QQ, sparse([[0] * 3] * 2), 3)
+    assert k == identity(3)
+    assert sparse_rank(QQ, k) == 3
 
 
 def test_kernel_one_constraint():
-    m = M(QQ, [[1, 1, 0]])
-    k = kernel_basis(m)
-    assert k.cols == 2
-    for j in range(k.cols):
-        col = [k.entries[i][j] for i in range(k.rows)]
-        assert m.mul_vec(col) == [0]
-
-
-def test_solve_identity():
-    m = ExactMatrix.identity(QQ, 2)
-    assert solve_consistent(m, [1, 2]) == [1, 2]
-
-
-def test_solve_underdetermined():
-    sol = solve_consistent(M(QQ, [[1, 1]]), [3])
-    assert sol is not None and sol[0] + sol[1] == 3
-
-
-def test_solve_inconsistent():
-    assert solve_consistent(M(QQ, [[1], [1]]), [0, 1]) is None
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_consistent(M(QQ, [[1, 1]]), [1, 2])
+    rows = sparse([[1, 1, 0]])
+    k = sparse_kernel_basis(QQ, rows, 3)
+    assert len(k) == 2
+    assert all(annihilates(QQ, rows, vec) for vec in k)
 
 
 def test_prime_field_validation():
@@ -131,28 +138,56 @@ def test_rank_kernel_dimension_sum(p):
     for _ in range(25):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
-        mat = M(field, rows)
-        r = rank(mat)
-        k = kernel_basis(mat)
-        assert r + k.cols == m
+        r = sparse_rank(field, sparse(rows))
+        k = sparse_kernel_basis(field, sparse(rows), m)
+        assert r + len(k) == m
         assert r == naive_rank(p, rows)
-        for j in range(k.cols):
-            col = [k.entries[i][j] for i in range(k.rows)]
-            assert all(v % p == 0 for v in mat.mul_vec(col))
+        assert all(annihilates(field, sparse(rows), vec) for vec in k)
 
 
 def test_rref_idempotent_and_row_space_preserved():
     rng = random.Random(7)
     for _ in range(20):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
-        rows = [[Fraction(rng.randint(-4, 4)) for _ in range(m)] for _ in range(n)]
-        mat = M(QQ, rows)
-        r1, piv1 = rref(mat)
-        r2, piv2 = rref(r1)
-        assert r1.entries == r2.entries and piv1 == piv2
+        rows = sparse([[Fraction(rng.randint(-4, 4)) for _ in range(m)] for _ in range(n)])
+        r1, piv1 = sparse_rref(QQ, rows)
+        r2, piv2 = sparse_rref(QQ, r1)
+        assert r1 == r2 and piv1 == piv2
         # mutual containment of row spaces via ranks of stacked matrices
-        stacked = M(QQ, list(mat.entries) + list(r1.entries))
-        assert rank(stacked) == rank(mat) == rank(r1)
+        assert sparse_rank(QQ, rows + r1) == sparse_rank(QQ, rows) == len(r1)
+
+
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def _q_matrices(draw):
+    """Rational matrices, often rank-deficient: the last row may be a
+    combination of the others."""
+    m = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_entries, min_size=m, max_size=m), max_size=6))
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(_entries, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(m)])
+    return rows, m
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrix=_q_matrices())
+def test_q_rank_kernels_agree_with_fraction_elimination(matrix):
+    """Both Q rank kernels, the integer fraction-free one behind sparse_rank
+    and RowReducer(QQ), give the rank of textbook Fraction elimination."""
+    rows, m = matrix
+    expected = fraction_rank(rows, m)
+    assert _sparse_rank_fraction_free(sparse(rows)) == expected
+    red = RowReducer(QQ)
+    for row in sparse(rows):
+        red.add_row(row)
+    assert red.rank == expected
 
 
 def test_row_reducer_canonical_residue():
@@ -166,7 +201,6 @@ def test_row_reducer_canonical_residue():
 
 def test_subspace_reducer_quotient():
     red = SubspaceReducer(QQ, 3, [{0: 1, 1: 1}])
-    assert red.subspace_dim == 1
     assert red.quotient_dim == 2
     assert red.free_positions == [1, 2]
     assert red.quotient_coords({0: 1, 1: 1}) == {}
@@ -179,14 +213,3 @@ def test_column_space_coordinates():
     coords = space.coordinates({0: 2, 1: 5})
     assert coords == {0: 2, 1: 1}
     assert space.coordinates({2: 1}) is None
-
-
-def test_sparse_rank_agrees_with_dense():
-    rng = random.Random(11)
-    for _ in range(15):
-        n, m = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
-        sparse = [
-            {j: v for j, v in enumerate(row) if v} for row in rows
-        ]
-        assert sparse_rank(QQ, sparse) == rank(M(QQ, rows))
