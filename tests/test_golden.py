@@ -26,6 +26,9 @@ EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
 CASES = {
     "lattice-braid4": (("braid", 4), ["lattice", "{f}"]),
     "freeness-braid3": (("braid", 3), ["freeness", "{f}"]),
+    # ell = 4: free (exponents 1 2 3 4) and not free (eleven generators)
+    "freeness-braid4": (("braid", 4), ["freeness", "{f}"]),
+    "freeness-generic46": (("generic", 4, 6), ["freeness", "{f}"]),
     "derivations-boolean2": (
         ("boolean", 2), ["derivations", "{f}", "--flat", "3", "--degree", "1"]),
     "cohomology-braid3": (("braid", 3), ["cohomology", "{f}", "--window", "-2:4"]),
