@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .arrangement import Arrangement, ArrangementError, members_of
 from .linalg import (
     ColumnSpace,
-    RowReducer,
     _integerized,
+    rank_reducer,
     sparse_kernel_basis,
     sparse_rank,
 )
@@ -392,7 +392,14 @@ def minimal_generators(arr: Arrangement, up_to_degree: int) -> list[tuple[int, d
 
     At each degree d the image of S_1 times the (d-1)-piece is spanned by
     multiplying every basis vector by every variable; basis vectors of the
-    d-piece that enlarge that span are new generators.
+    d-piece that enlarge that span are new generators.  Only membership is
+    asked, so over Q the span is held by the integer reducer.
+
+    The scan stops early once the generators found so far are exactly ell
+    with degree sum |A| and pass :func:`saito_check`: by Saito's criterion
+    they are then a basis, so every higher piece is S_1 times the piece
+    below it and no higher degree holds a minimal generator.  The list is
+    therefore the one a scan to ``up_to_degree`` would return.
     """
     if up_to_degree < 0:
         raise ValueError("scan bound must be nonnegative")
@@ -408,7 +415,7 @@ def minimal_generators(arr: Arrangement, up_to_degree: int) -> list[tuple[int, d
         cur = eng.space_basis(all_members, d)
         if not cur:
             continue
-        red = RowReducer(f)
+        red = rank_reducer(f)
         if d > 0:
             prev = eng.space_basis(all_members, d - 1)
             for v in prev:
@@ -417,9 +424,14 @@ def minimal_generators(arr: Arrangement, up_to_degree: int) -> list[tuple[int, d
                     e[i] = 1
                     shifted = multiply_vector(arr, v, {tuple(e): f.one}, d - 1)
                     red.add_row(shifted)
+        before = len(gens)
         for v in cur:
             if red.add_row(v):
                 gens.append((d, v))
+        # the free profile can only newly appear in a degree that added generators
+        if (len(gens) > before and len(gens) == ell
+                and sum(g[0] for g in gens) == arr.size and saito_check(arr, gens)):
+            break
     _gens_cache[(arr, up_to_degree)] = gens
     return gens
 
@@ -444,7 +456,15 @@ class FreenessCertificate:
 
 def freeness_certificate(arr: Arrangement) -> FreenessCertificate:
     """Scan for minimal generators up to degree |A| and apply the determinant
-    criterion when exactly ell generators with degree sum |A| are found."""
+    criterion when exactly ell generators with degree sum |A| are found.
+
+    On a free arrangement the scan stops at the degree where the generators
+    pass that criterion (see :func:`minimal_generators`).  ``scanned_bound``
+    still reads |A|: Saito's criterion proves that the degrees past the stop
+    hold no generator, so the certificate speaks for every degree up to |A|
+    as a full scan would.  A not-free arrangement is scanned to |A|, since
+    ``witness_degrees`` lists every generator degree up to that bound.
+    """
     hit = _cert_cache.get(arr)
     if hit is not None:
         return hit

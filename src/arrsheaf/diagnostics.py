@@ -26,7 +26,12 @@ from .derivations import (
 from .lattice import IntersectionLattice
 from .linalg import RowReducer
 from .monomials import basis, dim_poly, monomial_tuples
-from .oracle import pd_from_middle_levels, pd_oracle, punctured_cohomology
+from .oracle import (
+    check_kmax,
+    pd_from_middle_levels,
+    pd_oracle,
+    punctured_cohomology,
+)
 
 
 class ConsistencyError(RuntimeError):
@@ -376,7 +381,10 @@ def build_report(
 ) -> DiagnosticsReport:
     """Freeness, pd from both engines, factorization and the cross-engine
     cells.  The lattice table and the punctured-spectrum run are computed
-    once and shared by every verdict that reads them."""
+    once and shared by every verdict that reads them.  ``kmax`` is checked
+    up front, so a report without the Kunneth cells rejects the depths the
+    oracle rejects."""
+    check_kmax(kmax)
     window = window or default_window(arr)
     table = lattice_cohomology_table(arr, lattice, "D", window)
     verdict = freeness_verdict(arr, lattice, window, table=table)

@@ -5,17 +5,20 @@ rationals, ``int`` residues in ``[0, p)`` over a prime field.  Everything here
 is exact; there is no floating point anywhere in the package.
 
 There is one matrix representation: a sparse row (or column) is a dict
-``{index: nonzero scalar}`` and a matrix is a list of them.  Ranks over Q go
-through integer fraction-free elimination (:func:`sparse_rank`); echelon
-forms, kernels, quotients and coordinates go through :class:`RowReducer`.
-Every elimination uses the same fixed pivoting rule (first nonzero in
-column order), so bases are deterministic across runs.
+``{index: nonzero scalar}`` and a matrix is a list of them.  Ranks and
+span-membership tests over Q go through one incremental integer fraction-free
+reducer (:class:`IntegerReducer`, behind :func:`sparse_rank` and
+:func:`rank_reducer`), which never creates a Fraction.  Echelon forms,
+kernels, quotients and coordinates, and everything over GF(p), go through
+:class:`RowReducer`.  Every elimination uses the same fixed pivoting rule
+(first nonzero in column order), so bases are deterministic across runs.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 
@@ -244,8 +247,6 @@ class RowReducer:
 
 def _integerized(row: dict) -> dict:
     """Clear denominators and divide by the content; same span, pure ints."""
-    from math import gcd, lcm
-
     denom = 1
     for v in row.values():
         if isinstance(v, Fraction):
@@ -259,24 +260,34 @@ def _integerized(row: dict) -> dict:
     return out
 
 
-def _sparse_rank_fraction_free(rows: Iterable[dict]) -> int:
-    """Rank over the rationals by integer cross-multiplication elimination.
+class IntegerReducer:
+    """Incremental rank over the rationals by fraction-free integer elimination.
 
-    Rows are scaled to integers; eliminating a leading entry combines
-    ca*row - cb*pivot with the common gcd divided out, so no Fraction
-    objects are ever created.  Only the rank is meaningful here.
+    Rows are scaled to primitive integer vectors; eliminating a leading entry
+    combines ca*row - cb*pivot with the common gcd divided out, so no Fraction
+    object is ever created.  The stored rows span the row space but are
+    neither normalized nor reduced against each other, so only ``rank`` and
+    the answers of ``add_row`` are meaningful; residues, echelon rows and
+    kernels go through :class:`RowReducer`.
     """
-    from math import gcd
 
-    pivot_rows: dict[int, dict] = {}
-    for row in rows:
+    def __init__(self):
+        self.pivot_rows: dict[int, dict] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def add_row(self, row: dict) -> bool:
+        """Reduce and insert; True if the row enlarged the row space."""
+        pivot_rows = self.pivot_rows
         row = _integerized(row)
         while row:
             j = min(row)
             p = pivot_rows.get(j)
             if p is None:
                 pivot_rows[j] = row
-                break
+                return True
             a, b = p[j], row[j]
             g = gcd(a, b)
             ca, cb = a // g, b // g
@@ -293,13 +304,16 @@ def _sparse_rank_fraction_free(rows: Iterable[dict]) -> int:
             if g > 1:
                 new = {k: v // g for k, v in new.items()}
             row = new
-    return len(pivot_rows)
+        return False
+
+
+def rank_reducer(field: Field) -> IntegerReducer | RowReducer:
+    """The cheapest reducer that answers rank and membership over ``field``."""
+    return IntegerReducer() if field.kind == "rationals" else RowReducer(field)
 
 
 def sparse_rank(field: Field, rows: Iterable[dict]) -> int:
-    if field.kind == "rationals":
-        return _sparse_rank_fraction_free(rows)
-    red = RowReducer(field)
+    red = rank_reducer(field)
     for row in rows:
         red.add_row(row)
     return red.rank

@@ -434,6 +434,12 @@ def _truncated_engine(arr: Arrangement, module: str, cover: str,
     return eng
 
 
+def check_kmax(kmax: int) -> None:
+    """Reject a truncation depth that leaves no two levels to compare."""
+    if kmax < 2:
+        raise ValueError("kmax must be at least 2")
+
+
 def stabilized_dims(eng: TruncatedEngine, degrees, n_max: int, kmax: int):
     """Direct-limit dims of H^0 .. H^{n_max} per degree, read off the
     truncation levels of ``eng``.
@@ -443,8 +449,7 @@ def stabilized_dims(eng: TruncatedEngine, degrees, n_max: int, kmax: int):
     value and are listed as unstable.  Returns (entries, stabilized_at,
     unstable), keyed by (n, d).
     """
-    if kmax < 2:
-        raise ValueError("kmax must be at least 2")
+    check_kmax(kmax)
     q_full = eng.cover.full_degree
     entries: dict = {}
     stabilized: dict = {}

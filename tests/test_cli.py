@@ -111,6 +111,16 @@ def test_cohomology_structure_kmax_below_two_rejected(tmp_path, capsys, kmax):
     assert "kmax must be at least 2" in err
 
 
+@pytest.mark.parametrize("kmax", ["1", "0"])
+def test_report_skip_kunneth_kmax_below_two_rejected(tmp_path, capsys, kmax):
+    f = tmp_path / "b2.arr"
+    f.write_text("field Q\ndim 2\nhyperplane 1 0\nhyperplane 0 1\n")
+    code = main(["report", str(f), "--skip-kunneth", "--kmax", kmax])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT and out == ""
+    assert "kmax must be at least 2" in err
+
+
 def test_bad_window(tmp_path, capsys):
     f = tmp_path / "b2.arr"
     f.write_text("field Q\ndim 2\nhyperplane 1 0\nhyperplane 0 1\n")

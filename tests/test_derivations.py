@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from arrsheaf.arrangement import ArrangementError, catalog
+from arrsheaf.arrangement import Arrangement, ArrangementError, Hyperplane, catalog
 from arrsheaf.derivations import (
     derivation_space,
     engine_for,
@@ -17,7 +17,7 @@ from arrsheaf.derivations import (
     vector_to_polys,
 )
 from arrsheaf.lattice import build_lattice
-from arrsheaf.linalg import QQ, sparse_rank
+from arrsheaf.linalg import GF, QQ, sparse_rank
 from arrsheaf.monomials import poly_eval, poly_from_linear
 
 
@@ -282,6 +282,48 @@ def test_free_hilbert_function_everywhere(braid3):
         assert derivation_space(braid3, range(6), d).dim == free_module_dims(
             cert.exponents, 3, d
         )
+
+
+def braid3_mod_large_prime():
+    field = GF(2147483647)
+    arr = catalog("braid", 3)
+    normals = [tuple(field.from_int(c) for c in h.normal) for h in arr.hyperplanes]
+    return Arrangement(field, 3, tuple(Hyperplane(n) for n in normals),
+                       name="braid-3-mod-2147483647")
+
+
+FREE_UP_TO_ELL_4 = (
+    "boolean-2", "boolean-3", "boolean-4", "braid-2", "braid-3", "braid-4",
+    "near-pencil-4", "near-pencil-5", "near-pencil-6",
+)
+
+
+@pytest.mark.parametrize("label", FREE_UP_TO_ELL_4 + ("braid-3-mod-p",))
+def test_stopped_scan_loses_no_generator(label):
+    # the scan stops at the Saito basis; the whole derivation module up to
+    # degree |A| must still be the free module on the certified exponents
+    if label == "braid-3-mod-p":
+        arr = braid3_mod_large_prime()
+    else:
+        name, n = label.rsplit("-", 1)
+        arr = catalog(name, int(n))
+    cert = freeness_certificate(arr)
+    assert cert.status == "free" and cert.scanned_bound == arr.size
+    eng = engine_for(arr)
+    members = tuple(range(arr.size))
+    for d in range(arr.size + 1):
+        assert eng.space_dim(members, d) == free_module_dims(
+            cert.exponents, arr.ell, d
+        )
+
+
+def test_not_free_scan_runs_to_the_bound():
+    # generic-4-6 never meets the free profile, so every generator degree
+    # up to |A| is listed
+    cert = freeness_certificate(catalog("generic", 4, 6))
+    assert cert.status == "not-free"
+    assert cert.witness_degrees == (1,) + (3,) * 10
+    assert cert.scanned_bound == 6
 
 
 def test_multiply_vector_shifts_degrees(boolean2):

@@ -8,10 +8,10 @@ from arrsheaf.linalg import (
     GF,
     QQ,
     ColumnSpace,
+    IntegerReducer,
     PrimeField,
     RowReducer,
     SubspaceReducer,
-    _sparse_rank_fraction_free,
     sparse_kernel_basis,
     sparse_rank,
     sparse_rref,
@@ -180,14 +180,15 @@ def _q_matrices(draw):
 @given(matrix=_q_matrices())
 def test_q_rank_kernels_agree_with_fraction_elimination(matrix):
     """Both Q rank kernels, the integer fraction-free one behind sparse_rank
-    and RowReducer(QQ), give the rank of textbook Fraction elimination."""
+    and RowReducer(QQ), give the rank of textbook Fraction elimination, and
+    answer every membership question of an incremental scan alike."""
     rows, m = matrix
     expected = fraction_rank(rows, m)
-    assert _sparse_rank_fraction_free(sparse(rows)) == expected
-    red = RowReducer(QQ)
-    for row in sparse(rows):
-        red.add_row(row)
-    assert red.rank == expected
+    assert sparse_rank(QQ, sparse(rows)) == expected
+    ints, fracs = IntegerReducer(), RowReducer(QQ)
+    answers = [(ints.add_row(row), fracs.add_row(row)) for row in sparse(rows)]
+    assert [a for a, _ in answers] == [b for _, b in answers]
+    assert ints.rank == fracs.rank == expected
 
 
 def test_row_reducer_canonical_residue():
