@@ -31,6 +31,9 @@ CASES = {
     "freeness-generic46": (("generic", 4, 6), ["freeness", "{f}"]),
     "derivations-boolean2": (
         ("boolean", 2), ["derivations", "{f}", "--flat", "3", "--degree", "1"]),
+    # kernel basis over Q with non-unit coefficients, at the top flat
+    "derivations-generic46-top-d3": (
+        ("generic", 4, 6), ["derivations", "{f}", "--flat", "42", "--degree", "3"]),
     "cohomology-braid3": (("braid", 3), ["cohomology", "{f}", "--window", "-2:4"]),
     "cohomology-O-boolean2": (
         ("boolean", 2),
