@@ -313,7 +313,9 @@ class _CokernelComplex:
     """Cokernels C(J) = coker(S_d^ell -> sum_h S/(alpha_h)) over cover joins,
     as the blocks ``exact_sequence_dims`` reads.  A block is spanned by the
     lifts of its free quotient positions to single (h, row) entries of R; a
-    lift maps into C(J) by dropping the hyperplanes off J and reducing."""
+    lift maps into C(J) by dropping the hyperplanes off J and reducing.
+    Blocks at independent flats are zero and never built; every other block
+    is echelonized once, and its dimension is read off that echelon form."""
 
     def __init__(self, arr: Arrangement, lattice: IntersectionLattice, d: int):
         self.arr = arr
@@ -347,15 +349,20 @@ class _CokernelComplex:
         return red.quotient_coords(vec)
 
     def block(self, flat: int):
-        """(dim, height, lifts, project) of C(flat), None when it is zero."""
-        members = self.lattice.elements[flat].members
-        if not members:
-            return None
-        dim = len(members) * dim_poly(self.arr.ell - 1, self.d)
-        dim -= self.engine.constraint_rank(members, self.d)
-        if not dim:
+        """(dim, height, lifts, project) of C(flat), None when it is zero.
+
+        A flat with as many members as its codimension is independent: its
+        forms are coordinates x_h in a suitable basis, so f d/dx_h maps onto
+        f in the summand of h, and C(flat) is zero without any elimination.
+        """
+        element = self.lattice.elements[flat]
+        members = element.members
+        if len(members) == element.codim:
             return None
         red, layout = self._reducer(flat)
+        dim = red.quotient_dim
+        if not dim:
+            return None
         size = layout["block_dim"]
         lifts = [{(members[pos // size], pos % size): self.field.one}
                  for pos in red.free_positions]

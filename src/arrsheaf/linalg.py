@@ -8,10 +8,12 @@ There is one matrix representation: a sparse row (or column) is a dict
 ``{index: nonzero scalar}`` and a matrix is a list of them.  Ranks and
 span-membership tests over Q go through one incremental integer fraction-free
 reducer (:class:`IntegerReducer`, behind :func:`sparse_rank` and
-:func:`rank_reducer`), which never creates a Fraction.  Echelon forms,
-kernels, quotients and coordinates, and everything over GF(p), go through
-:class:`RowReducer`.  Every elimination uses the same fixed pivoting rule
-(first nonzero in column order), so bases are deterministic across runs.
+:func:`rank_reducer`), which never creates a Fraction.  Kernel bases over Q
+start from the same reducer and back-substitute in integers, returning the
+unique reduced-echelon kernel basis.  Echelon forms, quotients and
+coordinates, and everything over GF(p), go through :class:`RowReducer`.
+Every elimination uses the same fixed pivoting rule (first nonzero in
+column order), so bases are deterministic across runs.
 """
 
 from __future__ import annotations
@@ -251,13 +253,34 @@ def _integerized(row: dict) -> dict:
     for v in row.values():
         if isinstance(v, Fraction):
             denom = lcm(denom, v.denominator)
-    out = {j: int(v * denom) for j, v in row.items()}
+    return _primitive({j: int(v * denom) for j, v in row.items()})
+
+
+def _eliminate(row: dict, pivot_row: dict, j: int) -> dict:
+    """ca*row - cb*pivot_row with the coprime integer multipliers that clear
+    column j; row itself may be reused for the result."""
+    a, b = pivot_row[j], row[j]
+    g = gcd(a, b)
+    ca, cb = a // g, b // g
+    if ca != 1:
+        row = {k: ca * v for k, v in row.items()}
+    for k, v in pivot_row.items():
+        w = row.get(k, 0) - cb * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    return row
+
+
+def _primitive(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries."""
     g = 0
-    for v in out.values():
+    for v in row.values():
         g = gcd(g, v)
-    if g > 1:
-        out = {j: v // g for j, v in out.items()}
-    return out
+        if g == 1:
+            return row
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
 class IntegerReducer:
@@ -267,8 +290,9 @@ class IntegerReducer:
     combines ca*row - cb*pivot with the common gcd divided out, so no Fraction
     object is ever created.  The stored rows span the row space but are
     neither normalized nor reduced against each other, so only ``rank`` and
-    the answers of ``add_row`` are meaningful; residues, echelon rows and
-    kernels go through :class:`RowReducer`.
+    the answers of ``add_row`` are meaningful on their own; residues go
+    through :class:`RowReducer`, and kernels back-substitute the stored rows
+    (:func:`_integer_rref`).
     """
 
     def __init__(self):
@@ -288,22 +312,7 @@ class IntegerReducer:
             if p is None:
                 pivot_rows[j] = row
                 return True
-            a, b = p[j], row[j]
-            g = gcd(a, b)
-            ca, cb = a // g, b // g
-            new = {k: ca * v for k, v in row.items()}
-            for k, v in p.items():
-                w = new.get(k, 0) - cb * v
-                if w:
-                    new[k] = w
-                else:
-                    new.pop(k, None)
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
-            if g > 1:
-                new = {k: v // g for k, v in new.items()}
-            row = new
+            row = _primitive(_eliminate(row, p, j))
         return False
 
 
@@ -337,22 +346,50 @@ def sparse_rref(field: Field, rows: Iterable[dict]) -> tuple[list[dict], list[in
     return [reduced[j] for j in pivots], pivots
 
 
+def _integer_rref(rows: Iterable[dict]) -> dict[int, dict]:
+    """Reduced echelon rows over Q, scaled to primitive integer rows with a
+    positive pivot entry, keyed by pivot column; no Fraction is created.
+
+    The forward pass is :class:`IntegerReducer`; back-substitution runs bottom
+    pivot up with the same fraction-free step.  A reduced row is zero on every
+    pivot column but its own, so one snapshot pass per row suffices.
+    """
+    red = IntegerReducer()
+    for row in rows:
+        red.add_row(row)
+    reduced: dict[int, dict] = {}
+    for j in sorted(red.pivot_rows, reverse=True):
+        row = red.pivot_rows[j]
+        for k in sorted(row.keys() & reduced.keys()):
+            row = _eliminate(row, reduced[k], k)
+        row = _primitive(row)
+        if row[j] < 0:
+            row = {c: -v for c, v in row.items()}
+        reduced[j] = row
+    return reduced
+
+
 def sparse_kernel_basis(field: Field, rows: Iterable[dict], cols: int) -> list[dict]:
-    """Sparse basis of {v : M v = 0}, one vector per free column, ascending."""
-    rref_rows, pivots = sparse_rref(field, rows)
-    pivot_set = set(pivots)
-    by_pivot = dict(zip(pivots, rref_rows))
-    basis = []
-    for j in range(cols):
-        if j in pivot_set:
-            continue
-        vec = {j: field.one}
-        for p in pivots:
-            c = by_pivot[p].get(j)
-            if c is not None:
-                vec[p] = field.neg(c)
-        basis.append(vec)
-    return basis
+    """Sparse basis of {v : M v = 0}, one vector per free column, ascending.
+
+    The vector of free column j is e_j minus column j of the reduced echelon
+    form on the pivot positions; its keys are j, then those pivots ascending.
+    Over Q the echelon form is built in integers (:func:`_integer_rref`) and
+    the values are ints wherever they are integral.
+    """
+    if field.kind == "rationals":
+        by_pivot = _integer_rref(rows)
+    else:
+        rref_rows, pivots = sparse_rref(field, rows)
+        by_pivot = dict(zip(pivots, rref_rows))
+    basis = {j: {j: field.one} for j in range(cols) if j not in by_pivot}
+    for p in sorted(by_pivot):
+        row = by_pivot[p]
+        lead = row[p]
+        for c, v in row.items():
+            if c != p:
+                basis[c][p] = field.neg(v) if lead == 1 else field.div(-v, lead)
+    return list(basis.values())
 
 
 class SubspaceReducer:
@@ -369,24 +406,18 @@ class SubspaceReducer:
         self._red = RowReducer(field)
         for g in generators:
             self._red.add_row(g)
-        self._free: list[int] | None = None
+        pivots = self._red.pivot_rows
+        self.free_positions = [j for j in range(ambient_dim) if j not in pivots]
+        self._free_index = {pos: i for i, pos in enumerate(self.free_positions)}
 
     @property
     def quotient_dim(self) -> int:
         return self.ambient_dim - self._red.rank
 
-    @property
-    def free_positions(self) -> list[int]:
-        if self._free is None:
-            pivots = self._red.pivot_rows
-            self._free = [j for j in range(self.ambient_dim) if j not in pivots]
-        return self._free
-
     def quotient_coords(self, vec: dict) -> dict:
         """Coordinates of vec + V on the free-position basis of K^n/V."""
-        residue = self._red.reduce(vec)
-        index = {pos: i for i, pos in enumerate(self.free_positions)}
-        return {index[j]: v for j, v in residue.items()}
+        index = self._free_index
+        return {index[j]: v for j, v in self._red.reduce(vec).items()}
 
 
 class ColumnSpace:

@@ -32,3 +32,11 @@ def test_rank_hook_reads_rows_argument():
 
     params = list(inspect.signature(sparse_rank).parameters)
     assert params[:2] == ["field", "rows"]
+
+
+def test_kernel_hook_parameters():
+    # the tracer wraps sparse_kernel_basis by name; keep its call shape
+    from arrsheaf.linalg import sparse_kernel_basis
+
+    params = list(inspect.signature(sparse_kernel_basis).parameters)
+    assert params == ["field", "rows", "cols"]

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from arrsheaf.arrangement import ArrangementError, catalog, parse_arrangement
 from arrsheaf.cech import (
     CapExceeded,
+    _CokernelComplex,
     CoverIndex,
     DerivationFunctor,
     StructureFunctor,
@@ -18,8 +19,9 @@ from arrsheaf.cech import (
     minimal_cover,
     validate_cover,
 )
-from arrsheaf.derivations import derivation_space
+from arrsheaf.derivations import derivation_space, engine_for
 from arrsheaf.lattice import build_lattice
+from arrsheaf.monomials import dim_poly
 from arrsheaf.oracle import _truncated_engine
 
 
@@ -261,3 +263,40 @@ def test_shortcut_equals_direct_braid4_degree0():
     table = lattice_cohomology_table(arr, lat, "D", (0, 0))
     assert {n: table.dim(n, 0) for n in range(4)} == direct
     assert direct[3] == 1
+
+
+# ell = 4, not free: the pd regression arrangement of test_diagnostics
+_NONFREE_4_7 = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 1),
+                (1, 0, 0, 0), (1, 1, -1, 1), (1, 2, 0, 0)]
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp 2147483647"])
+@pytest.mark.parametrize(
+    "source", [("boolean", 3), ("braid", 4), ("generic", 4, 6), "nonfree-4-7"],
+    ids=["boolean-3", "braid-4", "generic-4-6", "nonfree-4-7"])
+def test_cokernel_blocks_skip_only_zero_ranks(source, field):
+    """Blocks at independent flats (as many members as codimension) are
+    skipped unbuilt.  There the eliminated constraint rank is full, and at
+    every flat the block has dimension |X| dim_poly(ell-1, d) minus that
+    rank, or is None when this is 0."""
+    if source == "nonfree-4-7":
+        normals = _NONFREE_4_7
+    else:
+        cat = catalog(*source)
+        normals = [cat.normal(h) for h in range(cat.size)]
+    arr = parse_arrangement(f"field {field}\ndim {len(normals[0])}\n" + "".join(
+        "hyperplane " + " ".join(map(str, n)) + "\n" for n in normals))
+    lat = build_lattice(arr)
+    eng = engine_for(arr)
+    for d in range(4):
+        cok = _CokernelComplex(arr, lat, d)
+        for flat, element in enumerate(lat.elements):
+            members = element.members
+            full = len(members) * dim_poly(arr.ell - 1, d)
+            rank = eng.constraint_rank(members, d)
+            if len(members) == element.codim:
+                assert rank == full, (flat, d)
+            block = cok.block(flat)
+            got = None if block is None else (block[0], block[1], len(block[2]))
+            dim = full - rank
+            assert got == (None if dim == 0 else (dim, dim, dim)), (flat, d)

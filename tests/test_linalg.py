@@ -71,6 +71,37 @@ def fraction_rank(rows, m):
     return rank_
 
 
+def fraction_kernel(rows, m):
+    """Textbook Gauss-Jordan over Fractions; for each free column j, in
+    ascending order, e_j minus column j of the reduced echelon form on the
+    pivot positions, keys j then pivots ascending."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    for col in range(m):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][col]
+        rows[r] = [v / lead for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for j in range(m):
+        if j in pivots:
+            continue
+        vec = {j: 1}
+        for i, p in enumerate(pivots):
+            if rows[i][j]:
+                vec[p] = -rows[i][j]
+        basis.append(vec)
+    return basis
+
+
 def annihilates(field, rows, vec):
     """M vec = 0, with plain integer/Fraction dot products reduced mod p."""
     p = field.characteristic
@@ -189,6 +220,32 @@ def test_q_rank_kernels_agree_with_fraction_elimination(matrix):
     answers = [(ints.add_row(row), fracs.add_row(row)) for row in sparse(rows)]
     assert [a for a, _ in answers] == [b for _, b in answers]
     assert ints.rank == fracs.rank == expected
+
+
+@st.composite
+def _q_matrices_with_repeats(draw):
+    """``_q_matrices`` plus, at random places, a duplicate row and a zero row."""
+    rows, m = draw(_q_matrices())
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * m)
+    return rows, m
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrix=_q_matrices_with_repeats())
+def test_q_kernel_equals_fraction_gauss_jordan(matrix):
+    """The integer Q kernel returns the unique reduced-echelon kernel basis:
+    the same values, ints where integral, and the same key order."""
+    rows, m = matrix
+    got = sparse_kernel_basis(QQ, sparse(rows), m)
+    expected = fraction_kernel(rows, m)
+    assert got == expected
+    assert [list(v) for v in got] == [list(v) for v in expected]
+    for vec in got:
+        for v in vec.values():
+            assert isinstance(v, int) or v.denominator != 1
 
 
 def test_row_reducer_canonical_residue():
