@@ -22,7 +22,10 @@ from arrsheaf.cli import main
 GOLDEN_DIR = Path(__file__).parent / "golden"
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
 
-# name -> (catalog entry, CLI arguments; "{f}" is the arrangement file)
+FP = "Fp 2147483647"
+
+# name -> (catalog entry, CLI arguments; "{f}" is the arrangement file[,
+# field replacing the entry's "field Q" line])
 CASES = {
     "lattice-braid4": (("braid", 4), ["lattice", "{f}"]),
     "freeness-braid3": (("braid", 3), ["freeness", "{f}"]),
@@ -54,15 +57,30 @@ CASES = {
         ("generic", 3, 4), ["report", "{f}", "--kunneth-window", "-2:2", "--kmax", "4"]),
     "report-braid3-table": (
         ("braid", 3), ["report", "{f}", "--skip-kunneth", "--format", "table"]),
+    # the mod-p reducers: rank, kernels, quotients and restriction maps
+    "report-braid3-fp": (
+        ("braid", 3), ["report", "{f}", "--kunneth-window", "-2:2", "--kmax", "4"], FP),
+    "derivations-braid3-fp-flat7-d2": (
+        ("braid", 3), ["derivations", "{f}", "--flat", "7", "--degree", "2"], FP),
+    # quotient residues of non-monomial cofactors over Q
+    "oracle-arrangement-braid2": (
+        ("braid", 2),
+        ["oracle", "{f}", "--cover", "arrangement", "--window", "-3:3", "--kmax", "6"]),
+    "cohomology-O-generic34": (
+        ("generic", 3, 4),
+        ["cohomology", "{f}", "--functor", "O", "--window", "-2:1", "--kmax", "3"]),
     "verify-kunneth-boolean2": (
         ("boolean", 2), ["verify-kunneth", "{f}", "--window", "-3:2", "--kmax", "6"]),
 }
 
 
 def run_case(name: str, workdir: Path) -> tuple[int, bytes]:
-    entry, argv = CASES[name]
+    entry, argv, *field = CASES[name]
+    text = serialize_arrangement(catalog(*entry))
+    if field:
+        text = text.replace("field Q\n", f"field {field[0]}\n", 1)
     path = workdir / f"{name}.arr"
-    path.write_text(serialize_arrangement(catalog(*entry)), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main([a.replace("{f}", str(path)) for a in argv])
