@@ -323,19 +323,16 @@ class _CokernelComplex:
         self.d = d
         self.engine: DerivationEngine = engine_for(arr)
         self.field = arr.field
-        self._reducers: dict[int, SubspaceReducer] = {}
-        self._layouts: dict[int, dict] = {}
+        self._reducers: dict[int, tuple[SubspaceReducer, dict]] = {}
 
     def _reducer(self, flat: int) -> tuple[SubspaceReducer, dict]:
         hit = self._reducers.get(flat)
-        if hit is not None:
-            return hit, self._layouts[flat]
-        members = self.lattice.elements[flat].members
-        cols, layout = self.engine.constraint_columns(members, self.d)
-        red = SubspaceReducer(self.field, layout["total"], cols)
-        self._reducers[flat] = red
-        self._layouts[flat] = layout
-        return red, layout
+        if hit is None:
+            members = self.lattice.elements[flat].members
+            cols, layout = self.engine.constraint_columns(members, self.d)
+            hit = SubspaceReducer(self.field, layout["total"], cols), layout
+            self._reducers[flat] = hit
+        return hit
 
     def map_into(self, flat: int, block_values: dict) -> dict:
         """Quotient coordinates at ``flat`` of a family {(h, row_idx): value};
@@ -459,7 +456,12 @@ def lattice_cohomology_table(
     d_min, d_max = window
     if d_min > d_max:
         raise ValueError("empty degree window")
-    cov = minimal_cover(lattice) if cover == "minimal" else full_cover(lattice)
+    if cover == "minimal":
+        cov = minimal_cover(lattice)
+    elif cover == "full":
+        cov = full_cover(lattice)
+    else:
+        raise ValueError(f"unknown cover {cover!r}; expected 'minimal' or 'full'")
     validate_cover(lattice, cov)
     n_max = arr.ell - 1
     degrees = range(d_min, d_max + 1)

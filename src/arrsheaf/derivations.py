@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .arrangement import Arrangement, ArrangementError, members_of
 from .linalg import (
     ColumnSpace,
+    RowReducer,
     _integerized,
-    rank_reducer,
     sparse_kernel_basis,
     sparse_rank,
 )
@@ -393,7 +393,7 @@ def minimal_generators(arr: Arrangement, up_to_degree: int) -> list[tuple[int, d
     At each degree d the image of S_1 times the (d-1)-piece is spanned by
     multiplying every basis vector by every variable; basis vectors of the
     d-piece that enlarge that span are new generators.  Only membership is
-    asked, so over Q the span is held by the integer reducer.
+    asked, so the span is held by a :class:`RowReducer`, fraction-free over Q.
 
     The scan stops early once the generators found so far are exactly ell
     with degree sum |A| and pass :func:`saito_check`: by Saito's criterion
@@ -415,7 +415,7 @@ def minimal_generators(arr: Arrangement, up_to_degree: int) -> list[tuple[int, d
         cur = eng.space_basis(all_members, d)
         if not cur:
             continue
-        red = rank_reducer(f)
+        red = RowReducer(f)
         if d > 0:
             prev = eng.space_basis(all_members, d - 1)
             for v in prev:

@@ -24,7 +24,7 @@ from .derivations import (
     multiply_vector,
 )
 from .lattice import IntersectionLattice
-from .linalg import RowReducer
+from .linalg import RowReducer, sparse_kernel_basis
 from .monomials import basis, dim_poly, monomial_tuples
 from .oracle import (
     check_kmax,
@@ -208,8 +208,6 @@ def _syzygy_space(arr: Arrangement, gens, t: int) -> list[dict]:
     hit = _syzygy_cache.get(key)
     if hit is not None:
         return hit
-    from .linalg import sparse_kernel_basis
-
     f = arr.field
     ell = arr.ell
     cols: list[dict] = []

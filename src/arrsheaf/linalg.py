@@ -5,20 +5,20 @@ rationals, ``int`` residues in ``[0, p)`` over a prime field.  Everything here
 is exact; there is no floating point anywhere in the package.
 
 There is one matrix representation: a sparse row (or column) is a dict
-``{index: nonzero scalar}`` and a matrix is a list of them.  Ranks and
-span-membership tests over Q go through one incremental integer fraction-free
-reducer (:class:`IntegerReducer`, behind :func:`sparse_rank` and
-:func:`rank_reducer`), which never creates a Fraction.  Kernel bases over Q
-start from the same reducer and back-substitute in integers, returning the
-unique reduced-echelon kernel basis.  Echelon forms, quotients and
-coordinates, and everything over GF(p), go through :class:`RowReducer`.
-Every elimination uses the same fixed pivoting rule (first nonzero in
-column order), so bases are deterministic across runs.
+``{index: nonzero scalar}`` and a matrix is a list of them.  There is one
+eliminator, :class:`RowReducer`, for both fields.  Its ``add_row`` clears a
+row's leading entries against the rows stored so far, which is all that rank
+and span membership need; over Q it works fraction-free on primitive integer
+rows and never creates a Fraction.  Its ``rref`` back-substitutes the stored
+rows once, and every other job reads that reduced echelon form: echelon rows
+(:func:`sparse_rref`), kernel bases (:func:`sparse_kernel_basis`), quotient
+coordinates (:class:`SubspaceReducer`) and span coordinates
+(:class:`ColumnSpace`).  Every elimination uses the same fixed pivoting rule
+(first nonzero in column order), so bases are deterministic across runs.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
@@ -118,10 +118,6 @@ class PrimeField(Field):
         self.characteristic = p
 
     @property
-    def p(self) -> int:
-        return self.characteristic
-
-    @property
     def zero(self):
         return 0
 
@@ -178,99 +174,12 @@ def GF(p: int) -> PrimeField:
 # sparse core: vectors and rows are dicts {column index: nonzero scalar}
 
 
-def _sub_scaled_inplace(field: Field, row: dict, factor, other: dict) -> None:
-    zero = field.zero
-    sub, mul = field.sub, field.mul
-    for j, v in other.items():
-        w = sub(row.get(j, zero), mul(factor, v))
-        if w == 0:
-            row.pop(j, None)
-        else:
-            row[j] = w
-
-
-class RowReducer:
-    """Incremental echelonization of sparse rows with the fixed pivot rule.
-
-    Rows are reduced against the pivots accumulated so far; a surviving row is
-    normalized (pivot entry 1) and stored under its leading column.  The row
-    space is preserved, so ``rank`` is the number of stored pivots and the
-    kernel of the original matrix equals the kernel of the stored rows.
-    """
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.pivot_rows: dict[int, dict] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-    def reduce(self, row: dict) -> dict:
-        """Canonical residue of row modulo the current row space.
-
-        Every pivot position is cleared, including those past free columns,
-        so the residue is supported on non-pivot positions only.
-        """
-        field = self.field
-        pivots = self.pivot_rows
-        row = dict(row)
-        heap = sorted(row)
-        heapq.heapify(heap)
-        done = -1
-        while heap:
-            j = heapq.heappop(heap)
-            if j <= done or j not in row:
-                continue
-            done = j
-            pivot_row = pivots.get(j)
-            if pivot_row is None:
-                continue
-            factor = row[j]
-            _sub_scaled_inplace(field, row, factor, pivot_row)
-            for k in pivot_row:
-                if k > j and k in row:
-                    heapq.heappush(heap, k)
-        return row
-
-    def add_row(self, row: dict) -> bool:
-        """Reduce and insert; True if the row enlarged the row space."""
-        residue = self.reduce(row)
-        if not residue:
-            return False
-        j = min(residue)
-        inv = self.field.div(self.field.one, residue[j])
-        self.pivot_rows[j] = {k: self.field.mul(inv, v) for k, v in residue.items()}
-        return True
-
-    def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
-
-
 def _integerized(row: dict) -> dict:
     """Clear denominators and divide by the content; same span, pure ints."""
-    denom = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            denom = lcm(denom, v.denominator)
+    if all(type(v) is int for v in row.values()):
+        return _primitive(dict(row))
+    denom = lcm(*(v.denominator for v in row.values()))
     return _primitive({j: int(v * denom) for j, v in row.items()})
-
-
-def _eliminate(row: dict, pivot_row: dict, j: int) -> dict:
-    """ca*row - cb*pivot_row with the coprime integer multipliers that clear
-    column j; row itself may be reused for the result."""
-    a, b = pivot_row[j], row[j]
-    g = gcd(a, b)
-    ca, cb = a // g, b // g
-    if ca != 1:
-        row = {k: ca * v for k, v in row.items()}
-    for k, v in pivot_row.items():
-        w = row.get(k, 0) - cb * v
-        if w:
-            row[k] = w
-        else:
-            del row[k]
-    return row
 
 
 def _primitive(row: dict) -> dict:
@@ -283,145 +192,204 @@ def _primitive(row: dict) -> dict:
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-class IntegerReducer:
-    """Incremental rank over the rationals by fraction-free integer elimination.
+def _eliminate(row: dict, pivot_row: dict, j: int, p: int) -> dict:
+    """row with column j cleared by pivot_row; row itself may be reused.
 
-    Rows are scaled to primitive integer vectors; eliminating a leading entry
-    combines ca*row - cb*pivot with the common gcd divided out, so no Fraction
-    object is ever created.  The stored rows span the row space but are
-    neither normalized nor reduced against each other, so only ``rank`` and
-    the answers of ``add_row`` are meaningful on their own; residues go
-    through :class:`RowReducer`, and kernels back-substitute the stored rows
-    (:func:`_integer_rref`).
+    Over GF(p) (``p`` > 0) pivot entries are 1, and this is
+    row - row[j] * pivot_row mod p.  Over Q (``p`` = 0) both rows are
+    integer, and this is the fraction-free ca*row - cb*pivot_row with the
+    coprime multipliers that clear column j, divided by its content.
+    """
+    b = row[j]
+    if p:
+        for k, v in pivot_row.items():
+            w = (row.get(k, 0) - b * v) % p
+            if w:
+                row[k] = w
+            else:
+                del row[k]
+        return row
+    a = pivot_row[j]
+    g = gcd(a, b)
+    ca, cb = a // g, b // g
+    if ca != 1:
+        row = {k: ca * v for k, v in row.items()}
+    for k, v in pivot_row.items():
+        w = row.get(k, 0) - cb * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    return _primitive(row)
+
+
+class RowReducer:
+    """Incremental echelon form of sparse rows under the fixed pivot rule.
+
+    ``add_row`` eliminates a row's leading entry against the stored row with
+    that pivot column until the leading column holds no pivot, then stores
+    the row under it.  Over GF(p) stored rows have pivot entry 1.  Over Q
+    they are primitive integer rows with a positive pivot entry, and
+    elimination is fraction-free (Bareiss 1968): no Fraction is ever
+    created.  The row space is preserved, so ``rank`` is the number of
+    stored rows.  Stored rows are not reduced against each other; ``rref``
+    back-substitutes them.
     """
 
-    def __init__(self):
+    def __init__(self, field: Field):
+        self.field = field
         self.pivot_rows: dict[int, dict] = {}
+        self._p = field.characteristic
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def add_row(self, row: dict) -> bool:
-        """Reduce and insert; True if the row enlarged the row space."""
-        pivot_rows = self.pivot_rows
-        row = _integerized(row)
+    def _leading_residue(self, row: dict) -> dict:
+        """row reduced until its leading column holds no pivot; {} when row
+        lies in the row space."""
+        pivot_rows, p = self.pivot_rows, self._p
+        row = dict(row) if p else _integerized(row)
         while row:
             j = min(row)
-            p = pivot_rows.get(j)
-            if p is None:
-                pivot_rows[j] = row
-                return True
-            row = _primitive(_eliminate(row, p, j))
-        return False
+            pivot_row = pivot_rows.get(j)
+            if pivot_row is None:
+                break
+            row = _eliminate(row, pivot_row, j, p)
+        return row
+
+    def _normalized(self, row: dict, j: int) -> dict:
+        """row scaled to pivot entry 1 over GF(p), positive over Q."""
+        lead = row[j]
+        if self._p:
+            if lead == 1:
+                return row
+            inv = self.field.div(1, lead)
+            return {k: self.field.mul(inv, v) for k, v in row.items()}
+        return row if lead > 0 else {k: -v for k, v in row.items()}
+
+    def add_row(self, row: dict) -> bool:
+        """Reduce and insert; True if the row enlarged the row space."""
+        row = self._leading_residue(row)
+        if not row:
+            return False
+        j = min(row)
+        self.pivot_rows[j] = self._normalized(row, j)
+        return True
+
+    def contains(self, row: dict) -> bool:
+        return not self._leading_residue(row)
+
+    def rref(self) -> dict[int, dict]:
+        """Reduced echelon rows keyed by pivot column, ascending.
+
+        Each row is zero on every pivot column but its own, with the scaling
+        of the stored rows (pivot entry 1 over GF(p), primitive integer with
+        a positive pivot entry over Q).  Back-substitution runs bottom pivot
+        up; a reduced row touches no other pivot column, so one snapshot pass
+        per row suffices.
+        """
+        p = self._p
+        reduced: dict[int, dict] = {}
+        for j in sorted(self.pivot_rows, reverse=True):
+            row = dict(self.pivot_rows[j])
+            for k in sorted(row.keys() & reduced.keys()):
+                row = _eliminate(row, reduced[k], k, p)
+            reduced[j] = self._normalized(row, j)
+        return {j: reduced[j] for j in sorted(reduced)}
 
 
-def rank_reducer(field: Field) -> IntegerReducer | RowReducer:
-    """The cheapest reducer that answers rank and membership over ``field``."""
-    return IntegerReducer() if field.kind == "rationals" else RowReducer(field)
+def _echelon(field: Field, rows: Iterable[dict]) -> dict[int, dict]:
+    red = RowReducer(field)
+    for row in rows:
+        red.add_row(row)
+    return red.rref()
 
 
 def sparse_rank(field: Field, rows: Iterable[dict]) -> int:
-    red = rank_reducer(field)
+    red = RowReducer(field)
     for row in rows:
         red.add_row(row)
     return red.rank
 
 
 def sparse_rref(field: Field, rows: Iterable[dict]) -> tuple[list[dict], list[int]]:
-    """Fully reduced echelon rows (sorted by pivot) and their pivot columns."""
-    red = RowReducer(field)
-    for row in rows:
-        red.add_row(row)
-    pivots = sorted(red.pivot_rows)
-    reduced: dict[int, dict] = {}
-    # back-substitution, bottom pivot up; reduced rows touch no pivot columns,
-    # so one snapshot pass per row suffices
-    for j in reversed(pivots):
-        row = dict(red.pivot_rows[j])
-        for k in sorted(set(row) & set(reduced)):
-            if k in row:
-                _sub_scaled_inplace(field, row, row[k], reduced[k])
-        reduced[j] = row
-    return [reduced[j] for j in pivots], pivots
-
-
-def _integer_rref(rows: Iterable[dict]) -> dict[int, dict]:
-    """Reduced echelon rows over Q, scaled to primitive integer rows with a
-    positive pivot entry, keyed by pivot column; no Fraction is created.
-
-    The forward pass is :class:`IntegerReducer`; back-substitution runs bottom
-    pivot up with the same fraction-free step.  A reduced row is zero on every
-    pivot column but its own, so one snapshot pass per row suffices.
-    """
-    red = IntegerReducer()
-    for row in rows:
-        red.add_row(row)
-    reduced: dict[int, dict] = {}
-    for j in sorted(red.pivot_rows, reverse=True):
-        row = red.pivot_rows[j]
-        for k in sorted(row.keys() & reduced.keys()):
-            row = _eliminate(row, reduced[k], k)
-        row = _primitive(row)
-        if row[j] < 0:
-            row = {c: -v for c, v in row.items()}
-        reduced[j] = row
-    return reduced
+    """Fully reduced echelon rows (sorted by pivot, pivot entry 1) and their
+    pivot columns."""
+    reduced = _echelon(field, rows)
+    out = [
+        row if row[j] == 1 else {c: field.div(v, row[j]) for c, v in row.items()}
+        for j, row in reduced.items()
+    ]
+    return out, list(reduced)
 
 
 def sparse_kernel_basis(field: Field, rows: Iterable[dict], cols: int) -> list[dict]:
     """Sparse basis of {v : M v = 0}, one vector per free column, ascending.
 
     The vector of free column j is e_j minus column j of the reduced echelon
-    form on the pivot positions; its keys are j, then those pivots ascending.
-    Over Q the echelon form is built in integers (:func:`_integer_rref`) and
-    the values are ints wherever they are integral.
+    form (pivot entries 1) on the pivot positions; its keys are j, then those
+    pivots ascending.  Over Q the values are ints wherever they are integral.
     """
-    if field.kind == "rationals":
-        by_pivot = _integer_rref(rows)
-    else:
-        rref_rows, pivots = sparse_rref(field, rows)
-        by_pivot = dict(zip(pivots, rref_rows))
-    basis = {j: {j: field.one} for j in range(cols) if j not in by_pivot}
-    for p in sorted(by_pivot):
-        row = by_pivot[p]
+    reduced = _echelon(field, rows)
+    basis = {j: {j: field.one} for j in range(cols) if j not in reduced}
+    for p, row in reduced.items():
         lead = row[p]
         for c, v in row.items():
             if c != p:
-                basis[c][p] = field.neg(v) if lead == 1 else field.div(-v, lead)
+                basis[c][p] = field.neg(v) if lead == 1 else field.div(field.neg(v), lead)
     return list(basis.values())
 
 
 class SubspaceReducer:
-    """Echelon form of a subspace V of K^n, exposing the quotient K^n/V.
+    """Reduced echelon form of a subspace V of K^n, exposing the quotient K^n/V.
 
-    ``quotient_coords`` reduces a vector modulo V and reads off its
-    coordinates on the free (non-pivot) positions; these form a basis of the
-    quotient, listed in ascending position order.
+    The free (non-pivot) positions, ascending, index a basis of K^n/V.
+    ``quotient_coords`` returns L times the residue of a vector modulo V on
+    those positions, where L is the lcm of the pivot entries of the echelon
+    rows (1 over GF(p); over Q the rows are primitive integer rows).  The map
+    is linear with kernel exactly V; its images differ from true quotient
+    coordinates by the one nonzero factor L, which no rank can see.
     """
 
     def __init__(self, field: Field, ambient_dim: int, generators: Iterable[dict] = ()):
         self.field = field
-        self.ambient_dim = ambient_dim
-        self._red = RowReducer(field)
-        for g in generators:
-            self._red.add_row(g)
-        pivots = self._red.pivot_rows
-        self.free_positions = [j for j in range(ambient_dim) if j not in pivots]
-        self._free_index = {pos: i for i, pos in enumerate(self.free_positions)}
+        reduced = _echelon(field, generators)
+        self.free_positions = [j for j in range(ambient_dim) if j not in reduced]
+        index = {pos: i for i, pos in enumerate(self.free_positions)}
+        self.scale = lcm(*(row[j] for j, row in reduced.items()))
+        # v + V has L*residue = L*v - sum over pivots j of v_j (L / lead_j) row_j
+        self._pivot_images = {
+            j: {index[c]: field.mul(self.scale // row[j], v)
+                for c, v in row.items() if c != j}
+            for j, row in reduced.items()
+        }
+        self._free_index = index
 
     @property
     def quotient_dim(self) -> int:
-        return self.ambient_dim - self._red.rank
+        return len(self.free_positions)
 
     def quotient_coords(self, vec: dict) -> dict:
-        """Coordinates of vec + V on the free-position basis of K^n/V."""
-        index = self._free_index
-        return {index[j]: v for j, v in self._red.reduce(vec).items()}
+        """L * (vec mod V) on the free-position basis of K^n/V."""
+        field = self.field
+        add, sub, mul = field.add, field.sub, field.mul
+        zero, scale = field.zero, self.scale
+        index, images = self._free_index, self._pivot_images
+        out: dict = {}
+        for j, v in vec.items():
+            image = images.get(j)
+            if image is None:
+                i = index[j]
+                out[i] = add(out.get(i, zero), mul(scale, v))
+            else:
+                for i, w in image.items():
+                    out[i] = sub(out.get(i, zero), mul(v, w))
+        return {i: v for i, v in out.items() if v}
 
 
 class ColumnSpace:
-    """Cached echelon data for repeatedly expressing vectors in a column span.
+    """Exact coordinates of vectors in the span of fixed columns.
 
     Used for writing basis columns of one graded piece in terms of another
     (restriction maps); the coordinates are exact and deterministic.
@@ -430,20 +398,21 @@ class ColumnSpace:
     def __init__(self, field: Field, columns: list[dict], ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
-        rows = []
-        for i, col in enumerate(columns):
-            row = {j: v for j, v in col.items()}
-            row[ambient_dim + i] = field.one
-            rows.append(row)
-        # echelonize [column | e_i] pairs; reading a residue of a target vector
-        # off positions >= ambient_dim yields its (negated) coordinates.
-        self._red = RowReducer(field)
-        for row in rows:
-            self._red.add_row(row)
+        rows = [{**col, ambient_dim + i: field.one} for i, col in enumerate(columns)]
+        # the span of the [column | e_i] rows: a target vector lies in the
+        # column span exactly when its residue has no entry below
+        # ambient_dim, and then its residue on positions >= ambient_dim is
+        # minus its coordinates
+        self._space = SubspaceReducer(field, ambient_dim + len(columns), rows)
 
     def coordinates(self, vec: dict) -> dict | None:
         """coords c with sum_i c_i col_i = vec, or None if vec not in span."""
-        residue = self._red.reduce(dict(vec))
-        if any(j < self.ambient_dim for j in residue):
-            return None
-        return {j - self.ambient_dim: self.field.neg(v) for j, v in residue.items()}
+        space = self._space
+        positions = space.free_positions
+        field, amb = self.field, self.ambient_dim
+        coords = {}
+        for i, v in space.quotient_coords(vec).items():
+            if positions[i] < amb:
+                return None
+            coords[positions[i] - amb] = field.div(field.neg(v), space.scale)
+        return coords

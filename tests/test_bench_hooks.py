@@ -40,3 +40,25 @@ def test_kernel_hook_parameters():
 
     params = list(inspect.signature(sparse_kernel_basis).parameters)
     assert params == ["field", "rows", "cols"]
+
+
+@pytest.mark.parametrize("characteristic", [0, 7])
+def test_rank_and_kernel_reach_hooked_add_row(monkeypatch, characteristic):
+    # the tracer times elimination through RowReducer.add_row, so rank and
+    # kernel calls over both fields must insert their rows through it
+    from arrsheaf import linalg
+
+    field = linalg.GF(characteristic) if characteristic else linalg.QQ
+    seen = []
+    add_row = linalg.RowReducer.add_row
+
+    def counted(self, row):
+        seen.append(row)
+        return add_row(self, row)
+
+    monkeypatch.setattr(linalg.RowReducer, "add_row", counted)
+    rows = [{0: 1, 1: 2}, {1: 3, 2: 1}, {0: 2, 1: 7, 2: 1}]
+    assert linalg.sparse_rank(field, rows) == 2
+    assert len(seen) == 3
+    assert len(linalg.sparse_kernel_basis(field, rows, 3)) == 1
+    assert len(seen) == 6

@@ -167,6 +167,13 @@ def test_full_vs_minimal_structure_functor(boolean2, boolean2_lattice):
     assert t_min.entries == t_full.entries
 
 
+@pytest.mark.parametrize("functor", ["D", "O"])
+def test_unknown_cover_rejected(boolean2, boolean2_lattice, functor):
+    # a misspelt cover must not fall through to the full cover
+    with pytest.raises(ValueError, match="unknown cover 'minmal'"):
+        lattice_cohomology_table(boolean2, boolean2_lattice, functor, (0, 1), "minmal")
+
+
 def test_structure_table_kmax_validation(boolean2, boolean2_lattice):
     with pytest.raises(ValueError, match="kmax"):
         lattice_cohomology_table(boolean2, boolean2_lattice, "O", (-2, 2), kmax=1)

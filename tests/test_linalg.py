@@ -8,7 +8,6 @@ from arrsheaf.linalg import (
     GF,
     QQ,
     ColumnSpace,
-    IntegerReducer,
     PrimeField,
     RowReducer,
     SubspaceReducer,
@@ -210,16 +209,19 @@ def _q_matrices(draw):
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(matrix=_q_matrices())
 def test_q_rank_kernels_agree_with_fraction_elimination(matrix):
-    """Both Q rank kernels, the integer fraction-free one behind sparse_rank
-    and RowReducer(QQ), give the rank of textbook Fraction elimination, and
-    answer every membership question of an incremental scan alike."""
+    """The fraction-free RowReducer(QQ) answers every insert of an
+    incremental scan as textbook Fraction ranks of the prefixes do, and
+    sparse_rank gives the rank of the whole matrix."""
     rows, m = matrix
-    expected = fraction_rank(rows, m)
-    assert sparse_rank(QQ, sparse(rows)) == expected
-    ints, fracs = IntegerReducer(), RowReducer(QQ)
-    answers = [(ints.add_row(row), fracs.add_row(row)) for row in sparse(rows)]
-    assert [a for a, _ in answers] == [b for _, b in answers]
-    assert ints.rank == fracs.rank == expected
+    red = RowReducer(QQ)
+    before = 0
+    for i, row in enumerate(sparse(rows)):
+        after = fraction_rank(rows[: i + 1], m)
+        assert red.add_row(row) == (after > before)
+        assert red.rank == after
+        assert red.contains(row)
+        before = after
+    assert sparse_rank(QQ, sparse(rows)) == fraction_rank(rows, m)
 
 
 @st.composite
@@ -248,21 +250,74 @@ def test_q_kernel_equals_fraction_gauss_jordan(matrix):
             assert isinstance(v, int) or v.denominator != 1
 
 
-def test_row_reducer_canonical_residue():
-    red = RowReducer(QQ)
-    red.add_row({0: 1, 2: 1})
-    red.add_row({2: 1})
-    # residue must clear position 2 even though position 1 is free
-    res = red.reduce({1: 1, 2: 5})
-    assert set(res) == {1}
-
-
 def test_subspace_reducer_quotient():
     red = SubspaceReducer(QQ, 3, [{0: 1, 1: 1}])
     assert red.quotient_dim == 2
     assert red.free_positions == [1, 2]
     assert red.quotient_coords({0: 1, 1: 1}) == {}
     assert red.quotient_coords({0: 1}) == {0: -1}
+    # the residue clears pivot position 2 although position 1 before it is free
+    red = SubspaceReducer(QQ, 3, [{0: 1, 2: 1}, {2: 1}])
+    assert red.free_positions == [1]
+    assert red.quotient_coords({1: 1, 2: 5}) == {0: 1}
+
+
+def _combine(field, a, u, b, w):
+    """a*u + b*w for sparse vectors, zeros dropped."""
+    out = {}
+    for c, vec in ((a, u), (b, w)):
+        for j, v in vec.items():
+            out[j] = field.add(out.get(j, field.zero), field.mul(c, v))
+    return {j: v for j, v in out.items() if v != 0}
+
+
+@st.composite
+def _subspace_cases(draw):
+    """A field, generators of a subspace V of K^n (fractional entries and
+    non-unit pivots over QQ), a vector in V, two arbitrary vectors and two
+    scalars."""
+    field = draw(st.sampled_from([QQ, GF(7), GF(2147483647)]))
+    if field is QQ:
+        entries = _entries
+    else:
+        p = field.characteristic
+        entries = st.one_of(st.integers(-3, 3).map(field.from_int), st.integers(0, p - 1))
+    n = draw(st.integers(1, 6))
+    vectors = st.lists(entries, min_size=n, max_size=n)
+    gens = draw(st.lists(vectors, max_size=5))
+    coeffs = draw(st.lists(entries, min_size=len(gens), max_size=len(gens)))
+    inside = [0] * n
+    for c, g in zip(coeffs, gens):
+        inside = [field.add(a, field.mul(c, b)) for a, b in zip(inside, g)]
+    u, w = draw(vectors), draw(vectors)
+    return field, n, gens, inside, u, w, draw(entries), draw(entries)
+
+
+def _field_rank(field, rows, n):
+    if field is QQ:
+        return fraction_rank(rows, n)
+    return naive_rank(field.characteristic, rows)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=_subspace_cases())
+def test_subspace_reducer_quotient_map(case):
+    """quotient_coords is a linear map K^n -> K^(n - dim V) with kernel
+    exactly V, over QQ and GF(p)."""
+    field, n, gens, inside, u, w, a, b = case
+    red = SubspaceReducer(field, n, sparse(gens))
+    rank_v = _field_rank(field, gens, n)
+    assert red.quotient_dim == n - rank_v
+    assert len(red.free_positions) == red.quotient_dim
+    assert red.quotient_coords(sparse([inside])[0]) == {}
+    for vec in (u, w):
+        in_v = _field_rank(field, gens + [vec], n) == rank_v
+        assert (red.quotient_coords(sparse([vec])[0]) == {}) == in_v
+    qu, qw = red.quotient_coords(sparse([u])[0]), red.quotient_coords(sparse([w])[0])
+    mixed = _combine(field, a, sparse([u])[0], b, sparse([w])[0])
+    assert red.quotient_coords(mixed) == _combine(field, a, qu, b, qw)
+    images = [red.quotient_coords({j: field.one}) for j in range(n)]
+    assert sparse_rank(field, images) == red.quotient_dim
 
 
 def test_column_space_coordinates():
@@ -271,3 +326,10 @@ def test_column_space_coordinates():
     coords = space.coordinates({0: 2, 1: 5})
     assert coords == {0: 2, 1: 1}
     assert space.coordinates({2: 1}) is None
+
+
+def test_column_space_fractional_coordinates():
+    # 2 c0 + c1 = 1 and 3 c1 = 2: neither coordinate is an integer
+    space = ColumnSpace(QQ, [{0: 2}, {0: 1, 1: 3}], 2)
+    assert space.coordinates({0: 1, 1: 2}) == {0: Fraction(1, 6), 1: Fraction(2, 3)}
+    assert space.coordinates({0: Fraction(1, 2)}) == {0: Fraction(1, 4)}
