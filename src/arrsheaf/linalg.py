@@ -299,24 +299,21 @@ class RowReducer:
         return {j: reduced[j] for j in sorted(reduced)}
 
 
-def _echelon(field: Field, rows: Iterable[dict]) -> dict[int, dict]:
+def _reducer(field: Field, rows: Iterable[dict]) -> RowReducer:
     red = RowReducer(field)
     for row in rows:
         red.add_row(row)
-    return red.rref()
+    return red
 
 
 def sparse_rank(field: Field, rows: Iterable[dict]) -> int:
-    red = RowReducer(field)
-    for row in rows:
-        red.add_row(row)
-    return red.rank
+    return _reducer(field, rows).rank
 
 
 def sparse_rref(field: Field, rows: Iterable[dict]) -> tuple[list[dict], list[int]]:
     """Fully reduced echelon rows (sorted by pivot, pivot entry 1) and their
     pivot columns."""
-    reduced = _echelon(field, rows)
+    reduced = _reducer(field, rows).rref()
     out = [
         row if row[j] == 1 else {c: field.div(v, row[j]) for c, v in row.items()}
         for j, row in reduced.items()
@@ -331,7 +328,7 @@ def sparse_kernel_basis(field: Field, rows: Iterable[dict], cols: int) -> list[d
     form (pivot entries 1) on the pivot positions; its keys are j, then those
     pivots ascending.  Over Q the values are ints wherever they are integral.
     """
-    reduced = _echelon(field, rows)
+    reduced = _reducer(field, rows).rref()
     basis = {j: {j: field.one} for j in range(cols) if j not in reduced}
     for p, row in reduced.items():
         lead = row[p]
@@ -354,7 +351,7 @@ class SubspaceReducer:
 
     def __init__(self, field: Field, ambient_dim: int, generators: Iterable[dict] = ()):
         self.field = field
-        reduced = _echelon(field, generators)
+        reduced = _reducer(field, generators).rref()
         self.free_positions = [j for j in range(ambient_dim) if j not in reduced]
         index = {pos: i for i, pos in enumerate(self.free_positions)}
         self.scale = lcm(*(row[j] for j, row in reduced.items()))
