@@ -256,10 +256,19 @@ def test_subspace_reducer_quotient():
     assert red.free_positions == [1, 2]
     assert red.quotient_coords({0: 1, 1: 1}) == {}
     assert red.quotient_coords({0: 1}) == {0: -1}
-    # the residue clears pivot position 2 although position 1 before it is free
-    red = SubspaceReducer(QQ, 3, [{0: 1, 2: 1}, {2: 1}])
-    assert red.free_positions == [1]
-    assert red.quotient_coords({1: 1, 2: 5}) == {0: 1}
+
+
+def test_row_reducer_canonical_residue():
+    red = RowReducer(QQ)
+    red.add_row({0: 1, 2: 1})
+    red.add_row({2: 1})
+    # back-substitution clears pivot position 2 past the free position 1
+    assert red.rref() == {0: {0: 1}, 2: {2: 1}}
+    assert not red.contains({1: 1, 2: 5})
+    # so the residue of {1: 1, 2: 5} keeps only the free position 1
+    quotient = SubspaceReducer(QQ, 3, [{0: 1, 2: 1}, {2: 1}])
+    assert quotient.free_positions == [1]
+    assert quotient.quotient_coords({1: 1, 2: 5}) == {0: 1}
 
 
 def _combine(field, a, u, b, w):
