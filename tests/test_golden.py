@@ -71,6 +71,14 @@ CASES = {
         ["cohomology", "{f}", "--functor", "O", "--window", "-2:1", "--kmax", "3"]),
     "verify-kunneth-boolean2": (
         ("boolean", 2), ["verify-kunneth", "{f}", "--window", "-3:2", "--kmax", "6"]),
+    # not free: top cells through the syzygies, one unstable cell excluded
+    "verify-kunneth-generic34": (
+        ("generic", 3, 4), ["verify-kunneth", "{f}", "--window", "-2:2", "--kmax", "4"]),
+    # the O table on the full cover, under the tuple cap
+    "cohomology-O-full-boolean3": (
+        ("boolean", 3),
+        ["cohomology", "{f}", "--functor", "O", "--cover", "full",
+         "--window", "-4:1", "--kmax", "3"]),
 }
 
 
