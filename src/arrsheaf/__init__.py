@@ -46,7 +46,6 @@ from .diagnostics import (
     factorization_check,
     freeness_verdict,
     kunneth_verify,
-    pd_via_lattice,
 )
 from .lattice import IntersectionLattice, LatticeElement, build_lattice
 from .linalg import GF, QQ, Field

@@ -35,20 +35,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
-from math import comb
 
 from .arrangement import Arrangement
 from .derivations import DerivationEngine, engine_for, inclusion_matrix
 from .lattice import IntersectionLattice
 from .linalg import Field, SubspaceReducer, sparse_rank
 from .monomials import dim_poly, multiplication_columns, poly_from_linear, poly_mul
-from .oracle import _truncated_engine, exact_sequence_dims, stabilized_dims
-
-DEFAULT_TUPLE_CAP = 2_000_000
-
-
-class CapExceeded(RuntimeError):
-    """Tuple enumeration exceeded the configured cap; use the minimal cover."""
+from .oracle import (  # CapExceeded is re-exported for the CLI and the package
+    DEFAULT_TUPLE_CAP,
+    CapExceeded,
+    _check_tuple_cap,
+    _truncated_engine,
+    exact_sequence_dims,
+    stabilized_dims,
+)
 
 
 @dataclass(frozen=True)
@@ -76,15 +76,6 @@ def validate_cover(lattice: IntersectionLattice, cover: CoverIndex) -> None:
         raise ValueError(
             f"cover misses the minimal elements {missing}; principal opens "
             "of the centers do not cover L0"
-        )
-
-
-def _check_tuple_cap(n_centers: int, levels: int, cap: int) -> None:
-    total = sum(comb(n_centers, k + 1) for k in range(levels))
-    if total > cap:
-        raise CapExceeded(
-            f"{total} Cech tuples exceed the cap {cap}; "
-            "switch to the minimal cover or narrow the computation"
         )
 
 
@@ -381,7 +372,6 @@ def _derivation_dims_via_sequences(
     if n_max == 0:
         return out
     # H^n reads h^{n-1}, which needs cokernel levels through n-1
-    _check_tuple_cap(len(cover.centers), n_max, DEFAULT_TUPLE_CAP)
     block = dim_poly(arr.ell - 1, d)
     one = arr.field.one
     q_dims = exact_sequence_dims(

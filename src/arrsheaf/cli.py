@@ -256,7 +256,7 @@ def main(argv=None) -> int:
             window = (
                 _parse_window(args.window) if args.window else default_window(arr)
             )
-            report = build_report(
+            payload = build_report(
                 arr,
                 lattice,
                 window=window,
@@ -264,7 +264,6 @@ def main(argv=None) -> int:
                 kmax=args.kmax,
                 with_kunneth=not args.skip_kunneth,
             )
-            payload = report.to_json()
             if args.format == "table":
                 lines = [
                     f"arrangement : {payload['arrangement']}",
@@ -285,12 +284,10 @@ def main(argv=None) -> int:
         if args.command == "verify-kunneth":
             arr = _load(args.file)
             lattice = build_lattice(arr)
-            report = kunneth_verify(
-                arr,
-                lattice,
-                window=_parse_window(args.window),
-                kmax=args.kmax,
-            )
+            window = _parse_window(args.window)
+            table = lattice_cohomology_table(arr, lattice, "D", window)
+            punctured = punctured_cohomology(arr, "D", "coords", window, args.kmax)
+            report = kunneth_verify(arr, freeness_certificate(arr), table, punctured)
             _emit(
                 {
                     "arrangement": report["arrangement"],

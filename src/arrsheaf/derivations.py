@@ -13,7 +13,7 @@ degree-d piece is the exact kernel of those stacked linear constraints.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arrangement import Arrangement, ArrangementError, members_of
 from .linalg import (
@@ -383,10 +383,6 @@ def saito_check(arr: Arrangement, candidates) -> bool:
 # minimal generators and the freeness certificate
 
 
-_gens_cache: dict = {}
-_cert_cache: dict = {}
-
-
 def minimal_generators(arr: Arrangement, up_to_degree: int) -> list[tuple[int, dict]]:
     """Homogeneous generators of the derivation module up to the given degree.
 
@@ -403,9 +399,6 @@ def minimal_generators(arr: Arrangement, up_to_degree: int) -> list[tuple[int, d
     """
     if up_to_degree < 0:
         raise ValueError("scan bound must be nonnegative")
-    hit = _gens_cache.get((arr, up_to_degree))
-    if hit is not None:
-        return hit
     eng = engine_for(arr)
     all_members = tuple(range(arr.size))
     ell = arr.ell
@@ -432,7 +425,6 @@ def minimal_generators(arr: Arrangement, up_to_degree: int) -> list[tuple[int, d
         if (len(gens) > before and len(gens) == ell
                 and sum(g[0] for g in gens) == arr.size and saito_check(arr, gens)):
             break
-    _gens_cache[(arr, up_to_degree)] = gens
     return gens
 
 
@@ -443,6 +435,8 @@ class FreenessCertificate:
     witness_degrees: tuple[int, ...] = ()
     scanned_bound: int = 0
     detail: str = ""
+    # the (degree, vector) pairs of the scan, for the verdicts that read them
+    generators: tuple = field(default=(), compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -465,38 +459,28 @@ def freeness_certificate(arr: Arrangement) -> FreenessCertificate:
     as a full scan would.  A not-free arrangement is scanned to |A|, since
     ``witness_degrees`` lists every generator degree up to that bound.
     """
-    hit = _cert_cache.get(arr)
-    if hit is not None:
-        return hit
     bound = arr.size
-    gens = minimal_generators(arr, bound)
+    gens = tuple(minimal_generators(arr, bound))
     degrees = tuple(sorted(d for d, _ in gens))
     ell = arr.ell
     if len(degrees) == ell and sum(degrees) == arr.size:
         ordered = sorted(gens, key=lambda g: g[0])
         if saito_check(arr, ordered):
-            cert = FreenessCertificate(
+            return FreenessCertificate(
                 "free", exponents=degrees, scanned_bound=bound,
                 detail="determinant criterion certified the generator basis",
+                generators=gens,
             )
-        else:
-            cert = FreenessCertificate(
-                "not-free", witness_degrees=degrees, scanned_bound=bound,
-                detail="minimal generators match the free profile but fail "
-                       "the determinant criterion",
-            )
+        status, detail = "not-free", ("minimal generators match the free "
+                                      "profile but fail the determinant criterion")
     elif len(degrees) > ell:
-        cert = FreenessCertificate(
-            "not-free", witness_degrees=degrees, scanned_bound=bound,
-            detail=f"{len(degrees)} minimal generators by degree {bound}",
-        )
+        status, detail = "not-free", f"{len(degrees)} minimal generators by degree {bound}"
     else:
-        cert = FreenessCertificate(
-            "undetermined", witness_degrees=degrees, scanned_bound=bound,
-            detail="generator scan inconclusive up to the bound",
-        )
-    _cert_cache[arr] = cert
-    return cert
+        status, detail = "undetermined", "generator scan inconclusive up to the bound"
+    return FreenessCertificate(
+        status, witness_degrees=degrees, scanned_bound=bound, detail=detail,
+        generators=gens,
+    )
 
 
 def free_module_dims(exponents, ell: int, d: int) -> int:

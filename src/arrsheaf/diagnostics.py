@@ -11,22 +11,16 @@ failure rather than returned as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .arrangement import Arrangement
 from .cech import CohomologyTable, default_window, lattice_cohomology_table
-from .derivations import (
-    FreenessCertificate,
-    engine_for,
-    freeness_certificate,
-    minimal_generators,
-    multiply_vector,
-)
+from .derivations import FreenessCertificate, freeness_certificate, multiply_vector
 from .lattice import IntersectionLattice
 from .linalg import RowReducer, sparse_kernel_basis
 from .monomials import basis, dim_poly, monomial_tuples
 from .oracle import (
+    PuncturedCohomologyResult,
     check_kmax,
     pd_from_middle_levels,
     pd_oracle,
@@ -60,16 +54,10 @@ def vanishing_summary(table: CohomologyTable, ell: int) -> dict:
 
 
 def freeness_verdict(
-    arr: Arrangement,
-    lattice: IntersectionLattice,
-    window: tuple[int, int] | None = None,
-    table: CohomologyTable | None = None,
+    arr: Arrangement, cert: FreenessCertificate, table: CohomologyTable
 ) -> dict:
-    """Combine the exact certificate with window-scoped lattice vanishing."""
-    window = window or default_window(arr)
-    cert = freeness_certificate(arr)
-    if table is None:
-        table = lattice_cohomology_table(arr, lattice, "D", window)
+    """Combine the exact certificate with the vanishing of the D table
+    ``table`` on its window."""
     summary = vanishing_summary(table, arr.ell)
     verdict = {
         "certificate": cert.to_json(),
@@ -91,19 +79,6 @@ def freeness_verdict(
             "guarantees one in some degree"
         )
     return verdict
-
-
-def pd_via_lattice(
-    arr: Arrangement,
-    lattice: IntersectionLattice,
-    window: tuple[int, int] | None = None,
-    table: CohomologyTable | None = None,
-) -> int:
-    """Smallest p with H^n vanishing on the window for 0 < n < ell-1-p."""
-    window = window or default_window(arr)
-    if table is None:
-        table = lattice_cohomology_table(arr, lattice, "D", window)
-    return pd_from_middle_levels(table.entries, arr.ell)
 
 
 # ---------------------------------------------------------------------------
@@ -133,25 +108,33 @@ def _laurent_multiply(mono: tuple, neg: tuple) -> tuple | None:
 
 
 def tensor_top_dim(
-    arr: Arrangement,
-    exponents,
-    d: int,
-    free: bool,
-) -> tuple[int, bool]:
-    """dim of (derivation module tensor top structure cohomology) in degree d.
+    arr: Arrangement, cert: FreenessCertificate, degrees
+) -> dict[int, tuple[int, bool]]:
+    """{d: (dim, stable)} of (derivation module tensor top structure
+    cohomology) for each d in ``degrees``.
 
     For a certified-free module the tensor is the direct sum of degree-shifted
-    copies of the negative orthant module.  Otherwise the relation images are
-    accumulated from the syzygy pieces degree by degree until the span
-    stabilizes; the second return value records stabilization.
+    copies of the negative orthant module.  Otherwise the relation images
+    among the certificate's generators are accumulated from the syzygy pieces
+    degree by degree until the span stabilizes; ``stable`` records
+    stabilization.  The syzygy pieces are computed once for all of
+    ``degrees``.
     """
     ell = arr.ell
-    if free:
-        return sum(dim_negative_piece(ell, d - e) for e in exponents), True
+    if cert.status == "free":
+        return {
+            d: (sum(dim_negative_piece(ell, d - e) for e in cert.exponents), True)
+            for d in degrees
+        }
+    syzygies: dict[int, list[dict]] = {}
+    return {d: _tensor_top_cell(arr, cert.generators, d, syzygies) for d in degrees}
 
-    gens = minimal_generators(arr, arr.size)
+
+def _tensor_top_cell(arr: Arrangement, gens, d: int, syzygies: dict) -> tuple[int, bool]:
+    """(dim, stable) of the tensor term in degree d of a module that is not
+    certified free; ``syzygies`` maps t to the syzygy space in degree t."""
+    ell = arr.ell
     f = arr.field
-    eng = engine_for(arr)
     degrees = [g[0] for g in gens]
     neg_bases = [_negative_monomials(ell, d - e) for e in degrees]
     neg_index = [{m: i for i, m in enumerate(b)} for b in neg_bases]
@@ -173,8 +156,9 @@ def tensor_top_dim(
         grew = False
         nu_basis = _negative_monomials(ell, d - t)
         if nu_basis:
-            syz = _syzygy_space(arr, gens, t)
-            for s in syz:
+            if t not in syzygies:
+                syzygies[t] = _syzygy_space(arr, gens, t)
+            for s in syzygies[t]:
                 for nu in nu_basis:
                     vec: dict = {}
                     for col, c in s.items():
@@ -199,15 +183,8 @@ def tensor_top_dim(
     return total - red.rank, stable_streak >= 2
 
 
-_syzygy_cache: dict = {}
-
-
 def _syzygy_space(arr: Arrangement, gens, t: int) -> list[dict]:
     """Kernel of (c_1, ..., c_a) -> sum c_i theta_i in degree t."""
-    key = (arr, tuple(g[0] for g in gens), t)
-    hit = _syzygy_cache.get(key)
-    if hit is not None:
-        return hit
     f = arr.field
     ell = arr.ell
     cols: list[dict] = []
@@ -219,9 +196,7 @@ def _syzygy_space(arr: Arrangement, gens, t: int) -> list[dict]:
     for j, col in enumerate(cols):
         for r, v in col.items():
             rows.setdefault(r, {})[j] = v
-    hit = sparse_kernel_basis(f, list(rows.values()), len(cols))
-    _syzygy_cache[key] = hit
-    return hit
+    return sparse_kernel_basis(f, list(rows.values()), len(cols))
 
 
 def _split_syzygy_col(ell: int, degrees, t: int, col: int) -> tuple[int, int]:
@@ -240,13 +215,13 @@ def _split_syzygy_col(ell: int, degrees, t: int, col: int) -> tuple[int, int]:
 
 def kunneth_verify(
     arr: Arrangement,
-    lattice: IntersectionLattice,
-    window: tuple[int, int] = (-6, 6),
-    kmax: int = 8,
-    lattice_table: CohomologyTable | None = None,
-    oracle_result=None,
+    cert: FreenessCertificate,
+    lattice_table: CohomologyTable,
+    punctured: PuncturedCohomologyResult,
 ) -> dict:
-    """Cell-by-cell comparison of the two cohomology engines.
+    """Cell-by-cell comparison of the two cohomology engines on the window
+    and depth of the D run ``punctured``; ``lattice_table`` is a D table on
+    a window that contains it.
 
     For n < ell-1 the stabilized punctured dims must equal the lattice dims;
     at n = ell-1 the punctured dim must dominate the direct-sum term (the
@@ -255,23 +230,18 @@ def kunneth_verify(
     cell contradicts a proved identity and raises ConsistencyError.
     """
     ell = arr.ell
-    if lattice_table is None:
-        lattice_table = lattice_cohomology_table(arr, lattice, "D", window)
-    if oracle_result is None:
-        oracle_result = punctured_cohomology(arr, "D", "coords", window, kmax)
-    cert = freeness_certificate(arr)
-    free = cert.status == "free"
-    exponents = cert.exponents if free else ()
+    window, kmax = punctured.window, punctured.kmax
+    degrees = range(window[0], window[1] + 1)
+    tensor_top = tensor_top_dim(arr, cert, degrees)
 
     cells = []
     mismatches = []
     excluded = []
     top_bound_failures = []
-    degrees = range(window[0], window[1] + 1)
     for n in range(0, ell):
         for d in degrees:
-            lhs = oracle_result.dim(n, d)
-            stable = oracle_result.is_stable(n, d)
+            lhs = punctured.dim(n, d)
+            stable = punctured.is_stable(n, d)
             if n < ell - 1:
                 rhs = lattice_table.dim(n, d)
                 match = lhs == rhs
@@ -282,7 +252,7 @@ def kunneth_verify(
                 # lattice cohomology is nonzero), so the comparison is
                 # reported as an observation, never as a failure
                 top = lattice_table.dim(ell - 1, d)
-                tensor, tensor_stable = tensor_top_dim(arr, exponents, d, free)
+                tensor, tensor_stable = tensor_top[d]
                 rhs = top + tensor
                 stable = stable and tensor_stable
                 match = lhs >= rhs
@@ -326,9 +296,8 @@ def kunneth_verify(
 
 
 def factorization_check(arr: Arrangement, lattice: IntersectionLattice,
-                        cert: FreenessCertificate | None = None) -> dict:
+                        cert: FreenessCertificate) -> dict:
     """chi(t) = prod (t - e_i) for certified-free arrangements, exactly."""
-    cert = cert or freeness_certificate(arr)
     if cert.status != "free":
         return {"status": "not-applicable", "certificate": cert.status}
     chi = list(lattice.characteristic_polynomial())
@@ -361,14 +330,6 @@ def factorization_check(arr: Arrangement, lattice: IntersectionLattice,
 # the assembled report
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    payload: dict
-
-    def to_json(self) -> dict:
-        return self.payload
-
-
 def build_report(
     arr: Arrangement,
     lattice: IntersectionLattice,
@@ -376,17 +337,18 @@ def build_report(
     kunneth_window: tuple[int, int] = (-6, 6),
     kmax: int = 8,
     with_kunneth: bool = True,
-) -> DiagnosticsReport:
+) -> dict:
     """Freeness, pd from both engines, factorization and the cross-engine
-    cells.  The lattice table and the punctured-spectrum run are computed
-    once and shared by every verdict that reads them.  ``kmax`` is checked
-    up front, so a report without the Kunneth cells rejects the depths the
-    oracle rejects."""
+    cells, as the JSON payload.  The certificate, the lattice table and the
+    punctured-spectrum run are computed once and handed to every verdict
+    that reads them.  ``kmax`` is checked up front, so a report without the
+    Kunneth cells rejects the depths the oracle rejects."""
     check_kmax(kmax)
     window = window or default_window(arr)
     table = lattice_cohomology_table(arr, lattice, "D", window)
-    verdict = freeness_verdict(arr, lattice, window, table=table)
-    pd_lat = pd_via_lattice(arr, lattice, window, table=table)
+    cert = freeness_certificate(arr)
+    verdict = freeness_verdict(arr, cert, table)
+    pd_lat = pd_from_middle_levels(table.entries, arr.ell)
     payload = {
         "arrangement": arr.label(),
         "ell": arr.ell,
@@ -396,19 +358,19 @@ def build_report(
         "freeness": verdict,
         "pd_via_lattice": pd_lat,
         "pd_via_oracle": None,
-        "factorization": factorization_check(arr, lattice),
+        "factorization": factorization_check(arr, lattice, cert),
         "lattice_table": table.to_json(arr),
     }
     if with_kunneth:
         punctured = punctured_cohomology(arr, "D", "coords", kunneth_window, kmax)
-        oracle_pd = pd_oracle(arr, kunneth_window, kmax, punctured=punctured)
+        oracle_pd = pd_oracle(arr, punctured)
         payload["pd_via_oracle"] = oracle_pd
         # a D cell depends on its degree only, so the report's own table
         # serves every degree of a Kunneth window inside the report window
         inside = window[0] <= kunneth_window[0] and kunneth_window[1] <= window[1]
-        kn = kunneth_verify(arr, lattice, kunneth_window, kmax,
-                            lattice_table=table if inside else None,
-                            oracle_result=punctured)
+        kunneth_table = table if inside else lattice_cohomology_table(
+            arr, lattice, "D", kunneth_window)
+        kn = kunneth_verify(arr, cert, kunneth_table, punctured)
         payload["kunneth"] = {
             "window": kn["window"],
             "cells": kn["cells"],
@@ -426,4 +388,4 @@ def build_report(
                     "pd_via_oracle": oracle_pd,
                 }
             )
-    return DiagnosticsReport(payload)
+    return payload

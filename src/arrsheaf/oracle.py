@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .arrangement import Arrangement, FormProduct, cofactor_forms
 from .derivations import engine_for, multiply_vector
@@ -41,6 +42,21 @@ from .monomials import (
 
 # ---------------------------------------------------------------------------
 # the exact-sequence reduction shared by both engines
+
+DEFAULT_TUPLE_CAP = 2_000_000
+
+
+class CapExceeded(RuntimeError):
+    """Tuple enumeration exceeded the configured cap; use the minimal cover."""
+
+
+def _check_tuple_cap(n_centers: int, levels: int, cap: int) -> None:
+    total = sum(comb(n_centers, k + 1) for k in range(levels))
+    if total > cap:
+        raise CapExceeded(
+            f"{total} Cech tuples exceed the cap {cap}; "
+            "switch to the minimal cover or narrow the computation"
+        )
 
 
 def exact_sequence_dims(field, centers, join, quotient, global_dim: int,
@@ -60,8 +76,10 @@ def exact_sequence_dims(field, centers, join, quotient, global_dim: int,
     lifts, project): dim C(key); the number of coordinates ``project``
     returns; vectors of A(key) whose images span C(key); and the map taking a
     vector of A over a face of the key to its coordinates in C(key).
-    ``global_lifts`` span G, of dimension ``global_dim``.
+    ``global_lifts`` span G, of dimension ``global_dim``.  The tuples of
+    the cover are counted against ``DEFAULT_TUPLE_CAP`` before any is built.
     """
+    _check_tuple_cap(len(centers), n_max + 1, DEFAULT_TUPLE_CAP)
     blocks: dict = {}
     levels = []
     for n in range(min(n_max + 1, len(centers))):
@@ -197,16 +215,11 @@ class _Pieces:
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
-        self._splits: dict = {}
 
     def ambient_dim(self, t: int) -> int:
         return self.blocks * dim_poly(self.arr.ell, t)
 
     def divisibility_split(self, shift: tuple, num_degree: int, amb_degree: int) -> dict:
-        key = (shift, amb_degree)
-        hit = self._splits.get(key)
-        if hit is not None:
-            return hit
         ell = self.arr.ell
         amb = basis(ell, amb_degree)
         num = basis(ell, num_degree) if num_degree >= 0 else None
@@ -221,10 +234,8 @@ class _Pieces:
                     ]
                 else:
                     rest_index[flat] = len(rest_index)
-        hit = {"rest_index": rest_index, "shift_back": shift_back,
-               "rest_size": len(rest_index)}
-        self._splits[key] = hit
-        return hit
+        return {"rest_index": rest_index, "shift_back": shift_back,
+                "rest_size": len(rest_index)}
 
 
 class _StructurePieces(_Pieces):
@@ -349,7 +360,6 @@ class TruncatedEngine:
         self.field = arr.field
         self.cover = cover
         self.pieces = pieces
-        self._spaces: dict = {}
         self._powers: dict = {}
         self._w_bases: dict = {}
 
@@ -377,12 +387,8 @@ class TruncatedEngine:
         return hit
 
     def tuple_space(self, key, num_degree: int, amb_degree: int) -> _TupleSpace:
-        cache_key = (key, num_degree, amb_degree)
-        hit = self._spaces.get(cache_key)
-        if hit is None:
-            hit = _TupleSpace(self, key, num_degree, amb_degree)
-            self._spaces[cache_key] = hit
-        return hit
+        # a method of its own, so a profiler (perfbench/tracer.py) can time it
+        return _TupleSpace(self, key, num_degree, amb_degree)
 
     def dims_at(self, d: int, k: int, n_max: int) -> dict[int, int]:
         """H^0 .. H^{n_max} of the level-k truncated complex in degree d:
@@ -410,28 +416,15 @@ class TruncatedEngine:
         )
 
 
-_engine_cache: dict = {}
-
-
 def _truncated_engine(arr: Arrangement, module: str, cover: str,
                       lattice: IntersectionLattice | None = None,
                       centers=None) -> TruncatedEngine:
-    if cover == "coords":
-        cov_key = ("coords",)
-    else:
-        cov_key = ("flats", tuple(centers))
-    key = (arr, module, cov_key)
-    hit = _engine_cache.get(key)
-    if hit is not None:
-        return hit
     if cover == "coords":
         cov = _CoordCover(arr)
     else:
         cov = _FlatCover(arr, lattice, centers)
     pieces = _StructurePieces(arr) if module == "O" else _DerivationPieces(arr)
-    eng = TruncatedEngine(arr, cov, pieces)
-    _engine_cache[key] = eng
-    return eng
+    return TruncatedEngine(arr, cov, pieces)
 
 
 def check_kmax(kmax: int) -> None:
@@ -573,17 +566,14 @@ def local_cohomology_dims(
     arr: Arrangement,
     window: tuple[int, int] = (-6, 6),
     kmax: int = 8,
-    punctured: PuncturedCohomologyResult | None = None,
 ) -> dict:
     """Graded dims of the local cohomology of the derivation module.
 
     H^{i+1} at the maximal ideal equals H^i on the punctured space for
     i >= 1; H^0 and H^1 vanish because the module is reflexive (depth >= 2),
-    and that vanishing is reported unconditionally.  ``punctured`` is an
-    already computed D run on the same window and kmax.
+    and that vanishing is reported unconditionally.
     """
-    if punctured is None:
-        punctured = punctured_cohomology(arr, "D", "coords", window, kmax)
+    punctured = punctured_cohomology(arr, "D", "coords", window, kmax)
     entries: dict = {}
     unstable = set(punctured.unstable)
     flagged = []
@@ -597,26 +587,18 @@ def local_cohomology_dims(
     return {"entries": entries, "unstable": tuple(flagged), "window": window, "kmax": kmax}
 
 
-def pd_oracle(
-    arr: Arrangement,
-    window: tuple[int, int] = (-6, 6),
-    kmax: int = 8,
-    punctured: PuncturedCohomologyResult | None = None,
-) -> dict:
+def pd_oracle(arr: Arrangement, punctured: PuncturedCohomologyResult) -> dict:
     """Smallest projective dimension consistent with local cohomology
-    vanishing observed on the window (window-scoped, never exceeds ell-2).
-    By Auslander-Buchsbaum through the lowest nonzero local cohomology
-    H^{n+1} = H^n(punctured), this is ``pd_from_middle_levels`` of the
-    punctured entries; ``unstable`` lists the unstable cells it read, in
-    local indexing.
-    ``punctured`` is an already computed D run on the same window and kmax."""
-    if punctured is None:
-        punctured = punctured_cohomology(arr, "D", "coords", window, kmax)
+    vanishing observed on the window of the D run ``punctured``
+    (window-scoped, never exceeds ell-2).  By Auslander-Buchsbaum through
+    the lowest nonzero local cohomology H^{n+1} = H^n(punctured), this is
+    ``pd_from_middle_levels`` of the punctured entries; ``unstable`` lists
+    the unstable cells it read, in local indexing."""
     ell = arr.ell
     return {
         "pd": pd_from_middle_levels(punctured.entries, ell),
-        "window": window,
-        "kmax": kmax,
+        "window": punctured.window,
+        "kmax": punctured.kmax,
         "unstable": tuple((n + 1, d) for (n, d) in punctured.unstable if 0 < n < ell - 1),
     }
 

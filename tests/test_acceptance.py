@@ -20,10 +20,11 @@ from arrsheaf.cech import (
     lattice_cohomology_table,
 )
 from arrsheaf.derivations import freeness_certificate
-from arrsheaf.diagnostics import factorization_check, pd_via_lattice
+from arrsheaf.diagnostics import factorization_check
 from arrsheaf.lattice import build_lattice
 from arrsheaf.oracle import (
     localization_identity_check,
+    pd_from_middle_levels,
     pd_oracle,
     punctured_cohomology,
 )
@@ -161,7 +162,7 @@ def test_criterion_3_factorization(arrangements, lattices):
     failures = []
     for name, params in FREE_ENTRIES:
         arr = arrangements[catalog(name, *params).name]
-        out = factorization_check(arr, lattices[arr.name])
+        out = factorization_check(arr, lattices[arr.name], freeness_certificate(arr))
         if out["status"] != "match":
             failures.append((arr.name, out))
             continue
@@ -171,7 +172,7 @@ def test_criterion_3_factorization(arrangements, lattices):
             failures.append((arr.name, "exponents", out["exponents"]))
     for n in (4, 5, 6):
         arr = catalog("near-pencil", n)
-        out = factorization_check(arr, build_lattice(arr))
+        out = factorization_check(arr, build_lattice(arr), freeness_certificate(arr))
         if out["status"] != "match" or tuple(out["exponents"]) != (1, 1, n - 2):
             failures.append((arr.name, out))
     assert report("criterion-3 factorization", not failures, str(failures))
@@ -204,20 +205,20 @@ def test_criterion_4_kunneth_cells(arrangements, lattices, oracle_results):
     )
 
 
-def test_criterion_5_projective_dimension(arrangements, lattices, oracle_results):
+def test_criterion_5_projective_dimension(arrangements, lattice_tables, oracle_results):
     """pd agrees between engines: 0 on free entries, 1 on generic(3, n>=4)."""
     failures = []
     for name, params in ORACLE_FREE_ENTRIES:
         arr = arrangements[catalog(name, *params).name]
-        p_lat = pd_via_lattice(arr, lattices[arr.name], default_window(arr))
-        p_orc = pd_oracle(arr, KUNNETH_WINDOW, KMAX, punctured=oracle_results[arr.name])
+        p_lat = pd_from_middle_levels(lattice_tables[arr.name].entries, arr.ell)
+        p_orc = pd_oracle(arr, oracle_results[arr.name])
         if p_orc["unstable"]:
             failures.append((arr.name, "unstable", p_orc["unstable"]))
         if not (p_lat == p_orc["pd"] == 0):
             failures.append((arr.name, p_lat, p_orc["pd"]))
     for name, params in NONFREE_ENTRIES:
         arr = arrangements[catalog(name, *params).name]
-        p_lat = pd_via_lattice(arr, lattices[arr.name], default_window(arr))
+        p_lat = pd_from_middle_levels(lattice_tables[arr.name].entries, arr.ell)
         # the oracle grid is shared with criterion 4
         oracle = oracle_results[arr.name]
         lowest = None

@@ -185,16 +185,43 @@ def test_cap_exit_code(tmp_path, capsys):
     from arrsheaf.arrangement import catalog, serialize_arrangement
 
     f.write_text(serialize_arrangement(catalog("braid", 3)))
-    import arrsheaf.cech as cech
+    import arrsheaf.oracle as oracle
 
-    old = cech.DEFAULT_TUPLE_CAP
-    cech.DEFAULT_TUPLE_CAP = 3
+    old = oracle.DEFAULT_TUPLE_CAP
+    oracle.DEFAULT_TUPLE_CAP = 3
     try:
         code = main(["cohomology", str(f), "--cover", "full", "--window", "0:0"])
     finally:
-        cech.DEFAULT_TUPLE_CAP = old
+        oracle.DEFAULT_TUPLE_CAP = old
     _, err = capsys.readouterr()
     assert code == EXIT_CAP and "cap" in err.lower()
+
+
+def test_cap_guards_structure_table(tmp_path):
+    # generic-5-8 has 163 proper flats: the O table on the full cover would
+    # enumerate ~9e8 tuples, so the cap has to stop it before it builds any;
+    # a separate process under a 2 GiB address-space limit keeps a missed
+    # cap from exhausting the machine
+    import resource
+    import subprocess
+    import sys
+
+    from arrsheaf.arrangement import catalog, serialize_arrangement
+
+    f = tmp_path / "g58.arr"
+    f.write_text(serialize_arrangement(catalog("generic", 5, 8)))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "arrsheaf.cli", "cohomology", str(f), "--functor", "O",
+         "--cover", "full", "--window", "0:0", "--kmax", "2"],
+        capture_output=True,
+        preexec_fn=limit_memory,
+        timeout=30,
+    )
+    assert proc.returncode == EXIT_CAP and b"cap" in proc.stderr.lower()
 
 
 def test_no_subcommand_usage(capsys):

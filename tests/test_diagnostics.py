@@ -1,5 +1,6 @@
 import pytest
 
+from arrsheaf import derivations, diagnostics
 from arrsheaf.arrangement import catalog, parse_arrangement
 from arrsheaf.cech import lattice_cohomology_table
 from arrsheaf.derivations import FreenessCertificate, freeness_certificate
@@ -10,22 +11,41 @@ from arrsheaf.diagnostics import (
     factorization_check,
     freeness_verdict,
     kunneth_verify,
-    pd_via_lattice,
     tensor_top_dim,
     vanishing_summary,
 )
 from arrsheaf.lattice import build_lattice
+from arrsheaf.oracle import pd_from_middle_levels, punctured_cohomology
+
+
+def _verdict(arr, lat, window):
+    table = lattice_cohomology_table(arr, lat, "D", window)
+    return freeness_verdict(arr, freeness_certificate(arr), table)
+
+
+def _pd_via_lattice(arr, lat, window):
+    table = lattice_cohomology_table(arr, lat, "D", window)
+    return pd_from_middle_levels(table.entries, arr.ell)
+
+
+def _kunneth(arr, lat, window, kmax):
+    return kunneth_verify(
+        arr,
+        freeness_certificate(arr),
+        lattice_cohomology_table(arr, lat, "D", window),
+        punctured_cohomology(arr, "D", "coords", window, kmax),
+    )
 
 
 def test_freeness_verdict_braid3(braid3, braid3_lattice):
-    verdict = freeness_verdict(braid3, braid3_lattice, (-9, 6))
+    verdict = _verdict(braid3, braid3_lattice, (-9, 6))
     assert verdict["free"] is True
     assert verdict["certificate"]["exponents"] == [1, 2, 3]
     assert verdict["lattice_vanishing"]["vanishes"] is True
 
 
 def test_freeness_verdict_generic34(generic34, generic34_lattice):
-    verdict = freeness_verdict(generic34, generic34_lattice, (-7, 4))
+    verdict = _verdict(generic34, generic34_lattice, (-7, 4))
     assert verdict["free"] is False
     assert verdict["lattice_vanishing"]["vanishes"] is False
     assert verdict["lattice_vanishing"]["nonzero_cells"]["1"] == [0]
@@ -33,15 +53,15 @@ def test_freeness_verdict_generic34(generic34, generic34_lattice):
 
 def test_freeness_verdict_ell2_always_free(braid2):
     lat = build_lattice(braid2)
-    verdict = freeness_verdict(braid2, lat, (-5, 3))
+    verdict = _verdict(braid2, lat, (-5, 3))
     assert verdict["free"] is True
     # the open range 0 < n < 1 is empty, so vanishing is vacuous
     assert verdict["lattice_vanishing"]["vanishes"] is True
 
 
 def test_pd_via_lattice_values(braid3, braid3_lattice, generic34, generic34_lattice):
-    assert pd_via_lattice(braid3, braid3_lattice, (-9, 6)) == 0
-    assert pd_via_lattice(generic34, generic34_lattice, (-7, 4)) == 1
+    assert _pd_via_lattice(braid3, braid3_lattice, (-9, 6)) == 0
+    assert _pd_via_lattice(generic34, generic34_lattice, (-7, 4)) == 1
 
 
 def test_pd_via_lattice_uses_lowest_middle_level():
@@ -54,32 +74,33 @@ def test_pd_via_lattice_uses_lowest_middle_level():
     lat = build_lattice(arr)
     table = lattice_cohomology_table(arr, lat, "D", (0, 1))
     assert table.dim(1, 1) != 0 and table.dim(2, 0) != 0
-    assert pd_via_lattice(arr, lat, (0, 1), table=table) == 2
-    assert pd_via_lattice(arr, lat, (0, 1)) == 2
+    assert pd_from_middle_levels(table.entries, arr.ell) == 2
+    report = build_report(arr, lat, window=(0, 1), with_kunneth=False)
+    assert report["pd_via_lattice"] == 2
 
 
 def test_pd_upper_bound(generic34, generic34_lattice):
-    assert pd_via_lattice(generic34, generic34_lattice, (-7, 4)) <= generic34.ell - 2
+    assert _pd_via_lattice(generic34, generic34_lattice, (-7, 4)) <= generic34.ell - 2
 
 
 def test_factorization_boolean():
     for ell in (2, 3, 4):
         arr = catalog("boolean", ell)
         lat = build_lattice(arr)
-        out = factorization_check(arr, lat)
+        out = factorization_check(arr, lat, freeness_certificate(arr))
         assert out["status"] == "match"
         # chi = (t-1)^ell
         assert out["exponents"] == [1] * ell
 
 
 def test_factorization_braid3(braid3, braid3_lattice):
-    out = factorization_check(braid3, braid3_lattice)
+    out = factorization_check(braid3, braid3_lattice, freeness_certificate(braid3))
     assert out["status"] == "match"
     assert out["characteristic_polynomial"] == [-6, 11, -6, 1]
 
 
 def test_factorization_not_applicable(generic34, generic34_lattice):
-    out = factorization_check(generic34, generic34_lattice)
+    out = factorization_check(generic34, generic34_lattice, freeness_certificate(generic34))
     assert out["status"] == "not-applicable"
 
 
@@ -91,26 +112,30 @@ def test_factorization_mismatch_raises(braid3, braid3_lattice):
 
 def test_tensor_top_dim_free_closed_form(braid2):
     cert = freeness_certificate(braid2)
-    for d in (-4, -3, -2, 0, 1):
+    degrees = (-4, -3, -2, 0, 1)
+    tensor = tensor_top_dim(braid2, cert, degrees)
+    for d in degrees:
         expected = sum(dim_negative_piece(2, d - e) for e in cert.exponents)
-        assert tensor_top_dim(braid2, cert.exponents, d, True) == (expected, True)
+        assert tensor[d] == (expected, True)
 
 
 def test_tensor_top_dim_generic34_hilbert(generic34):
     # generators (1,2,2,2) with a single relation in degree 3; away from the
     # boundary the series prediction N(-1) + 3N(-2) - N(-3) is exact
-    for d in (-5, -4, -3):
+    degrees = (-5, -4, -3)
+    tensor = tensor_top_dim(generic34, freeness_certificate(generic34), degrees)
+    for d in degrees:
         predicted = (
             dim_negative_piece(3, d - 1)
             + 3 * dim_negative_piece(3, d - 2)
             - dim_negative_piece(3, d - 3)
         )
-        dim, stable = tensor_top_dim(generic34, (), d, False)
+        dim, stable = tensor[d]
         assert stable and dim == predicted
 
 
 def test_kunneth_verify_boolean2(boolean2, boolean2_lattice):
-    report = kunneth_verify(boolean2, boolean2_lattice, (-3, 3), 6)
+    report = _kunneth(boolean2, boolean2_lattice, (-3, 3), 6)
     assert report["mismatches"] == []
     equality_cells = [c for c in report["cells"] if c["kind"] == "equality"]
     assert equality_cells and all(c["match"] for c in equality_cells if c["stable"])
@@ -120,7 +145,7 @@ def test_kunneth_verify_braid2_top_observation(braid2):
     # the top-level comparison is informational; at d=0 the naive
     # direct-sum term overshoots and that must be recorded, not raised
     lat = build_lattice(braid2)
-    report = kunneth_verify(braid2, lat, (-2, 2), 8)
+    report = _kunneth(braid2, lat, (-2, 2), 8)
     assert report["mismatches"] == []
     fails = {(c["n"], c["d"]) for c in report["top_bound_failures"]}
     assert (1, 0) in fails
@@ -142,7 +167,7 @@ def test_build_report_boolean2(boolean2, boolean2_lattice):
         window=(-4, 2),
         kunneth_window=(-3, 2),
         kmax=6,
-    ).to_json()
+    )
     assert report["freeness"]["free"] is True
     assert report["pd_via_lattice"] == 0
     assert report["pd_via_oracle"]["pd"] == 0
@@ -154,6 +179,32 @@ def test_build_report_freeness_is_the_verdict(generic34, generic34_lattice):
     # a window without the H^1 witness at d = 0 carries the verdict's note
     window = (2, 3)
     report = build_report(generic34, generic34_lattice, window=window,
-                          with_kunneth=False).to_json()
-    assert report["freeness"] == freeness_verdict(generic34, generic34_lattice, window)
+                          with_kunneth=False)
+    assert report["freeness"] == _verdict(generic34, generic34_lattice, window)
     assert "note" in report["freeness"]
+
+
+def test_build_report_computes_each_input_once(generic34, generic34_lattice, monkeypatch):
+    # every verdict reads the one certificate, table and punctured run that
+    # build_report computed; none of them computes its own
+    calls = {}
+    for module, name in [
+        (derivations, "freeness_certificate"),
+        (derivations, "minimal_generators"),
+        (diagnostics, "lattice_cohomology_table"),
+        (diagnostics, "punctured_cohomology"),
+        (diagnostics, "tensor_top_dim"),
+    ]:
+        original = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for holder in (derivations, diagnostics):
+            if getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, counted)
+    build_report(generic34, generic34_lattice, window=(-7, 4),
+                 kunneth_window=(-2, 2), kmax=4)
+    assert calls == dict.fromkeys(calls, 1)

@@ -125,7 +125,8 @@ def test_local_cohomology_reflexive_zeroes(braid2):
 def test_pd_oracle_free_entries():
     for name, params in [("boolean", (2,)), ("boolean", (3,)), ("braid", (2,))]:
         arr = catalog(name, *params)
-        assert pd_oracle(arr, (-4, 3), 8)["pd"] == 0
+        punctured = punctured_cohomology(arr, "D", "coords", (-4, 3), 8)
+        assert pd_oracle(arr, punctured)["pd"] == 0
 
 
 def test_pd_oracle_kmax_validation(boolean2):
