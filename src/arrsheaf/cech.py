@@ -33,7 +33,7 @@ Two computation routes produce identical dimensions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from itertools import combinations
 
 from .arrangement import Arrangement
@@ -404,6 +404,17 @@ class CohomologyTable:
 
     def dim(self, n: int, d: int) -> int:
         return self.entries[(n, d)]
+
+    def restricted(self, window: tuple[int, int]) -> "CohomologyTable":
+        """The same table on a window inside its own."""
+        def keep(cell) -> bool:
+            return window[0] <= cell[1] <= window[1]
+        return replace(
+            self, window=window,
+            entries={c: v for c, v in self.entries.items() if keep(c)},
+            stabilized_at={c: v for c, v in self.stabilized_at.items() if keep(c)},
+            unstable=tuple(filter(keep, self.unstable)),
+        )
 
     def to_json(self, arr: Arrangement) -> dict:
         payload = {

@@ -32,7 +32,7 @@ from .derivations import derivation_space, freeness_certificate, vector_to_polys
 from .diagnostics import ConsistencyError, build_report, kunneth_verify
 from .lattice import build_lattice, lattice_json
 from .monomials import basis
-from .oracle import punctured_cohomology
+from .oracle import check_kmax, punctured_cohomology
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -285,6 +285,7 @@ def main(argv=None) -> int:
             arr = _load(args.file)
             lattice = build_lattice(arr)
             window = _parse_window(args.window)
+            check_kmax(args.kmax)
             table = lattice_cohomology_table(arr, lattice, "D", window)
             punctured = punctured_cohomology(arr, "D", "coords", window, args.kmax)
             report = kunneth_verify(arr, freeness_certificate(arr), table, punctured)

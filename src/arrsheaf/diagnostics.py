@@ -341,11 +341,17 @@ def build_report(
     """Freeness, pd from both engines, factorization and the cross-engine
     cells, as the JSON payload.  The certificate, the lattice table and the
     punctured-spectrum run are computed once and handed to every verdict
-    that reads them.  ``kmax`` is checked up front, so a report without the
+    that reads them.  A D cell depends on its degree only, so one table on
+    the span of the report and Kunneth windows serves both, each degree
+    computed once.  ``kmax`` is checked up front, so a report without the
     Kunneth cells rejects the depths the oracle rejects."""
     check_kmax(kmax)
     window = window or default_window(arr)
-    table = lattice_cohomology_table(arr, lattice, "D", window)
+    span = window
+    if with_kunneth:
+        span = (min(window[0], kunneth_window[0]), max(window[1], kunneth_window[1]))
+    span_table = lattice_cohomology_table(arr, lattice, "D", span)
+    table = span_table.restricted(window)
     cert = freeness_certificate(arr)
     verdict = freeness_verdict(arr, cert, table)
     pd_lat = pd_from_middle_levels(table.entries, arr.ell)
@@ -365,12 +371,7 @@ def build_report(
         punctured = punctured_cohomology(arr, "D", "coords", kunneth_window, kmax)
         oracle_pd = pd_oracle(arr, punctured)
         payload["pd_via_oracle"] = oracle_pd
-        # a D cell depends on its degree only, so the report's own table
-        # serves every degree of a Kunneth window inside the report window
-        inside = window[0] <= kunneth_window[0] and kunneth_window[1] <= window[1]
-        kunneth_table = table if inside else lattice_cohomology_table(
-            arr, lattice, "D", kunneth_window)
-        kn = kunneth_verify(arr, cert, kunneth_table, punctured)
+        kn = kunneth_verify(arr, cert, span_table, punctured)
         payload["kunneth"] = {
             "window": kn["window"],
             "cells": kn["cells"],

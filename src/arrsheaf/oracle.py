@@ -60,7 +60,8 @@ def _check_tuple_cap(n_centers: int, levels: int, cap: int) -> None:
 
 
 def exact_sequence_dims(field, centers, join, quotient, global_dim: int,
-                        global_lifts, n_max: int) -> dict[int, int]:
+                        global_lifts, n_max: int,
+                        global_rank: int | None = None) -> dict[int, int]:
     """H^0 .. H^{n_max} of V = ker(A -> C) over a cover whose nerve is a full
     simplex, where A is acyclic with global sections G and A -> C is onto.
 
@@ -76,8 +77,11 @@ def exact_sequence_dims(field, centers, join, quotient, global_dim: int,
     lifts, project): dim C(key); the number of coordinates ``project``
     returns; vectors of A(key) whose images span C(key); and the map taking a
     vector of A over a face of the key to its coordinates in C(key).
-    ``global_lifts`` span G, of dimension ``global_dim``.  The tuples of
-    the cover are counted against ``DEFAULT_TUPLE_CAP`` before any is built.
+    ``global_lifts`` span G, of dimension ``global_dim``.  A caller that
+    knows r0 passes it as ``global_rank``; then ``global_lifts`` is not read
+    and r0 is not eliminated.  Left unset, r0 is the rank of the images of
+    ``global_lifts`` in C^0.  The tuples of the cover are counted against
+    ``DEFAULT_TUPLE_CAP`` before any is built.
     """
     _check_tuple_cap(len(centers), n_max + 1, DEFAULT_TUPLE_CAP)
     blocks: dict = {}
@@ -119,8 +123,7 @@ def exact_sequence_dims(field, centers, join, quotient, global_dim: int,
             row_off += height
         delta_ranks.append(sparse_rank(field, rows))
 
-    r0 = 0
-    if levels[0]:
+    if global_rank is None and levels[0]:
         columns = []
         for lift in global_lifts:
             col: dict = {}
@@ -131,7 +134,8 @@ def exact_sequence_dims(field, centers, join, quotient, global_dim: int,
                 off += height
             if col:
                 columns.append(col)
-        r0 = sparse_rank(field, columns)
+        global_rank = sparse_rank(field, columns)
+    r0 = global_rank or 0
 
     # ranks[n] is the rank of the map into C^n: r0, then delta^{n-1}
     ranks = [r0] + delta_ranks
@@ -392,7 +396,17 @@ class TruncatedEngine:
 
     def dims_at(self, d: int, k: int, n_max: int) -> dict[int, int]:
         """H^0 .. H^{n_max} of the level-k truncated complex in degree d:
-        ``exact_sequence_dims`` with G = W = M_{d + k q} and C(T) = W / V_T."""
+        ``exact_sequence_dims`` with G = W = M_{d + k q} and C(T) = W / V_T.
+
+        The rank r0 of W -> C^0 is passed as dim W - dim M_d, not eliminated.
+        Every cover used here (coordinate charts, minimal or full flat cover)
+        covers the punctured spectrum U, and M (S or D(A)) is reflexive with
+        ell >= 2, so Gamma(U, M~)_d = M_d.  The level-k complex is a
+        subcomplex of the localized Cech complex, so its H^0 lies inside
+        c^k M_d, where c is the product of all denominators; and c^k M_d lies
+        in every V_T, so H^0 = c^k M_d has dimension dim M_d (0 for d < 0).
+        A wrong r0 would show up as a negative dimension, which
+        ``exact_sequence_dims`` raises, or in h^1."""
         cover = self.cover
         amb_degree = d + k * cover.full_degree
         w_dim = self.pieces.module_dim(amb_degree)
@@ -412,7 +426,8 @@ class TruncatedEngine:
             return dim, space.out_dim, w_vectors, space.coords
 
         return exact_sequence_dims(
-            self.field, cover.center_keys, cover.join, quotient, w_dim, w_vectors, n_max
+            self.field, cover.center_keys, cover.join, quotient, w_dim, w_vectors, n_max,
+            global_rank=w_dim - self.pieces.module_dim(d),
         )
 
 

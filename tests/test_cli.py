@@ -121,6 +121,20 @@ def test_report_skip_kunneth_kmax_below_two_rejected(tmp_path, capsys, kmax):
     assert "kmax must be at least 2" in err
 
 
+def test_verify_kunneth_kmax_checked_before_table(tmp_path, capsys, monkeypatch):
+    # --kmax 1 is an input error, reported before any computation
+    tables = []
+    monkeypatch.setattr("arrsheaf.cli.lattice_cohomology_table",
+                        lambda *args, **kwargs: tables.append(args))
+    f = tmp_path / "b2.arr"
+    f.write_text("field Q\ndim 2\nhyperplane 1 0\nhyperplane 0 1\n")
+    code = main(["verify-kunneth", str(f), "--window", "-6:6", "--kmax", "1"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT and out == ""
+    assert "kmax must be at least 2" in err
+    assert tables == []
+
+
 def test_bad_window(tmp_path, capsys):
     f = tmp_path / "b2.arr"
     f.write_text("field Q\ndim 2\nhyperplane 1 0\nhyperplane 0 1\n")

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from arrsheaf import derivations, diagnostics
+from arrsheaf import cech, derivations, diagnostics
 from arrsheaf.arrangement import catalog, parse_arrangement
 from arrsheaf.cech import lattice_cohomology_table
 from arrsheaf.derivations import FreenessCertificate, freeness_certificate
@@ -208,3 +210,19 @@ def test_build_report_computes_each_input_once(generic34, generic34_lattice, mon
     build_report(generic34, generic34_lattice, window=(-7, 4),
                  kunneth_window=(-2, 2), kmax=4)
     assert calls == dict.fromkeys(calls, 1)
+
+
+def test_build_report_computes_each_degree_once(boolean2, boolean2_lattice, monkeypatch):
+    # the default report on boolean-2 has window -4:2 and Kunneth window
+    # -6:6; one D table serves both, so no degree is computed twice
+    calls = Counter()
+    original = cech._derivation_dims_via_sequences
+
+    def counted(arr, lattice, cover, d, n_max):
+        calls[d] += 1
+        return original(arr, lattice, cover, d, n_max)
+
+    monkeypatch.setattr(cech, "_derivation_dims_via_sequences", counted)
+    report = build_report(boolean2, boolean2_lattice)
+    assert report["window"] == [-4, 2] and report["kunneth"]["window"] == [-6, 6]
+    assert calls == Counter(range(-6, 7))

@@ -2,10 +2,13 @@ import random
 
 import pytest
 
-from arrsheaf.arrangement import catalog, cofactor_forms
+from arrsheaf import oracle
+from arrsheaf.arrangement import catalog, cofactor_forms, parse_arrangement
 from arrsheaf.derivations import derivation_space, free_module_dims, freeness_certificate
 from arrsheaf.lattice import build_lattice
 from arrsheaf.oracle import (
+    _truncated_engine,
+    exact_sequence_dims,
     local_cohomology_dims,
     localization_identity_check,
     localized_derivations,
@@ -151,3 +154,57 @@ def test_generic34_second_local_cohomology_witness(generic34):
         dim for (i, d), dim in local["entries"].items() if i == 2
     )
     assert all(dim == 0 for (i, d), dim in local["entries"].items() if i < 2)
+
+
+# ell = 4, not free: the pd regression arrangement of test_diagnostics
+_NONFREE_4_7 = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 1),
+                (1, 0, 0, 0), (1, 1, -1, 1), (1, 2, 0, 0)]
+_CELLS = [(d, k) for k in (1, 2) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp 2147483647"])
+@pytest.mark.parametrize(
+    "source,cells,flat_covers",
+    [(("braid", 3), _CELLS, True), (("generic", 3, 4), _CELLS, True),
+     (("boolean", 3), _CELLS, True), (("braid", 4), [(0, 2)], False),
+     ("nonfree-4-7", [(d, 1) for d in (-1, 0, 1)], False)],
+    ids=["braid-3", "generic-3-4", "boolean-3", "braid-4", "nonfree-4-7"])
+def test_known_global_rank_equals_elimination(source, cells, flat_covers, field,
+                                              monkeypatch):
+    """``dims_at`` hands ``exact_sequence_dims`` r0 = dim W - dim M_d instead
+    of eliminating it.  On every sampled engine cell, eliminating r0 from the
+    W-basis lifts must give the same dims.  The flat covers have q = |A|, so
+    their D cells are sampled at K = 1 only, and at ell = 4 only the
+    coordinate cover is in reach."""
+    if source == "nonfree-4-7":
+        normals = _NONFREE_4_7
+    else:
+        cat = catalog(*source)
+        normals = [cat.normal(h) for h in range(cat.size)]
+    arr = parse_arrangement(f"field {field}\ndim {len(normals[0])}\n" + "".join(
+        "hyperplane " + " ".join(map(str, n)) + "\n" for n in normals))
+    lat = build_lattice(arr)
+
+    compared = []
+
+    def both_routes(*args, global_rank):
+        eliminated = exact_sequence_dims(*args)
+        known = exact_sequence_dims(*args, global_rank=global_rank)
+        assert known == eliminated
+        compared.append(known)
+        return known
+
+    monkeypatch.setattr(oracle, "exact_sequence_dims", both_routes)
+    covers = [("coords", None)]
+    if flat_covers:
+        covers += [("flats", lat.l0_minimal_indices()), ("flats", lat.l0_indices())]
+    expected = 0
+    for module in ("D", "O"):
+        for cover, centers in covers:
+            eng = _truncated_engine(arr, module, cover, lat, centers)
+            for d, k in cells:
+                if module == "D" and cover == "flats" and k > 1:
+                    continue
+                eng.dims_at(d, k, arr.ell - 1)
+                expected += 1
+    assert len(compared) == expected
