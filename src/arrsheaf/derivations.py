@@ -19,6 +19,7 @@ from .arrangement import Arrangement, ArrangementError, members_of
 from .linalg import (
     ColumnSpace,
     RowReducer,
+    _fill_reducing,
     _integerized,
     sparse_kernel_basis,
     sparse_rank,
@@ -389,7 +390,8 @@ def minimal_generators(arr: Arrangement, up_to_degree: int) -> list[tuple[int, d
     At each degree d the image of S_1 times the (d-1)-piece is spanned by
     multiplying every basis vector by every variable; basis vectors of the
     d-piece that enlarge that span are new generators.  Only membership is
-    asked, so the span is held by a :class:`RowReducer`, fraction-free over Q.
+    asked, so the span is held by a :class:`RowReducer`, fraction-free over Q,
+    with the columns of each degree renumbered into one fill-reducing order.
 
     The scan stops early once the generators found so far are exactly ell
     with degree sum |A| and pass :func:`saito_check`: by Saito's criterion
@@ -408,18 +410,24 @@ def minimal_generators(arr: Arrangement, up_to_degree: int) -> list[tuple[int, d
         cur = eng.space_basis(all_members, d)
         if not cur:
             continue
-        red = RowReducer(f)
+        shifted = []
         if d > 0:
-            prev = eng.space_basis(all_members, d - 1)
-            for v in prev:
+            for v in eng.space_basis(all_members, d - 1):
                 for i in range(ell):
                     e = [0] * ell
                     e[i] = 1
-                    shifted = multiply_vector(arr, v, {tuple(e): f.one}, d - 1)
-                    red.add_row(shifted)
+                    shifted.append(multiply_vector(arr, v, {tuple(e): f.one}, d - 1))
+        # one fill-reducing column order for both families; the shifted rows
+        # may go in any order, but cur keeps its own, which decides the
+        # generators (basis vectors are nonzero, so none of cur is dropped)
+        rows, _ = _fill_reducing(shifted + cur)
+        split = len(rows) - len(cur)
+        red = RowReducer(f)
+        for row in sorted(rows[:split], key=len):
+            red.add_row(row)
         before = len(gens)
-        for v in cur:
-            if red.add_row(v):
+        for v, row in zip(cur, rows[split:]):
+            if red.add_row(row):
                 gens.append((d, v))
         # the free profile can only newly appear in a degree that added generators
         if (len(gens) > before and len(gens) == ell

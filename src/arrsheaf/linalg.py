@@ -13,15 +13,25 @@ rows and never creates a Fraction.  Its ``rref`` back-substitutes the stored
 rows once, and every other job reads that reduced echelon form: echelon rows
 (:func:`sparse_rref`), kernel bases (:func:`sparse_kernel_basis`), quotient
 coordinates (:class:`SubspaceReducer`) and span coordinates
-(:class:`ColumnSpace`).  Every elimination uses the same fixed pivoting rule
-(first nonzero in column order), so bases are deterministic across runs.
+(:class:`ColumnSpace`).
+
+``RowReducer`` pivots on a row's first nonzero column.  Jobs that read only a
+rank, a span or membership first renumber the columns into a fill-reducing
+order (:func:`_fill_reducing`: fewest nonzeros first, cf. Markowitz 1957),
+which keeps the stored rows sparse: :func:`sparse_rank`,
+:class:`SubspaceReducer`, whose free positions index some complement of V,
+and the membership tests of the freeness certificate's generator scan.
+Jobs whose output depends on the order keep the natural column order:
+:func:`sparse_rref`, :func:`sparse_kernel_basis` and :class:`ColumnSpace`.
+Both orders are fixed functions of the input, so every result is
+deterministic across runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def _is_prime(n: int) -> bool:
@@ -306,7 +316,29 @@ def _reducer(field: Field, rows: Iterable[dict]) -> RowReducer:
     return red
 
 
+def _fill_reducing(rows: Iterable[dict]) -> tuple[list[dict], list[int]]:
+    """The nonzero rows with their columns renumbered, and the original label
+    of each new column.
+
+    Columns with fewer nonzeros come first (ties by original label), so the
+    first-nonzero pivot rule picks sparse pivot columns and elimination
+    creates little fill-in.  Only columns that hold a nonzero get a label.
+    """
+    rows = [row for row in rows if row]
+    counts: dict[int, int] = {}
+    for row in rows:
+        for j in row:
+            counts[j] = counts.get(j, 0) + 1
+    labels = sorted(counts, key=lambda j: (counts[j], j))
+    new = {j: i for i, j in enumerate(labels)}
+    return [{new[j]: v for j, v in row.items()} for row in rows], labels
+
+
 def sparse_rank(field: Field, rows: Iterable[dict]) -> int:
+    """Rank of the rows, eliminated shortest row first in a fill-reducing
+    column order."""
+    rows, _ = _fill_reducing(rows)
+    rows.sort(key=len)
     return _reducer(field, rows).rank
 
 
@@ -338,10 +370,12 @@ def sparse_kernel_basis(field: Field, rows: Iterable[dict], cols: int) -> list[d
     return list(basis.values())
 
 
-class SubspaceReducer:
-    """Reduced echelon form of a subspace V of K^n, exposing the quotient K^n/V.
+class _EchelonQuotient:
+    """K^n/V read off a reduced echelon form of V whose column i is ambient
+    position ``labels[i]``; positions outside ``labels`` are zero on V.
 
-    The free (non-pivot) positions, ascending, index a basis of K^n/V.
+    The free positions, the non-pivot labels in column order and then the
+    unlabelled positions ascending, index a basis of K^n/V.
     ``quotient_coords`` returns L times the residue of a vector modulo V on
     those positions, where L is the lcm of the pivot entries of the echelon
     rows (1 over GF(p); over Q the rows are primitive integer rows).  The map
@@ -349,16 +383,19 @@ class SubspaceReducer:
     coordinates by the one nonzero factor L, which no rank can see.
     """
 
-    def __init__(self, field: Field, ambient_dim: int, generators: Iterable[dict] = ()):
+    def __init__(self, field: Field, ambient_dim: int, reduced: dict[int, dict],
+                 labels: Sequence[int]):
         self.field = field
-        reduced = _reducer(field, generators).rref()
-        self.free_positions = [j for j in range(ambient_dim) if j not in reduced]
+        labelled = set(labels)
+        self.free_positions = [
+            pos for i, pos in enumerate(labels) if i not in reduced
+        ] + [j for j in range(ambient_dim) if j not in labelled]
         index = {pos: i for i, pos in enumerate(self.free_positions)}
         self.scale = lcm(*(row[j] for j, row in reduced.items()))
         # v + V has L*residue = L*v - sum over pivots j of v_j (L / lead_j) row_j
         self._pivot_images = {
-            j: {index[c]: field.mul(self.scale // row[j], v)
-                for c, v in row.items() if c != j}
+            labels[j]: {index[labels[c]]: field.mul(self.scale // row[j], v)
+                        for c, v in row.items() if c != j}
             for j, row in reduced.items()
         }
         self._free_index = index
@@ -385,6 +422,20 @@ class SubspaceReducer:
         return {i: v for i, v in out.items() if v}
 
 
+class SubspaceReducer(_EchelonQuotient):
+    """The quotient K^n/V of a subspace V spanned by ``generators``.
+
+    V is echelonized in the fill-reducing column order of its generators, so
+    the free positions index one complement of V, in no particular order;
+    they are original ambient positions.  Callers read only ranks and
+    membership, which any complement gives alike.
+    """
+
+    def __init__(self, field: Field, ambient_dim: int, generators: Iterable[dict] = ()):
+        rows, labels = _fill_reducing(generators)
+        super().__init__(field, ambient_dim, _reducer(field, rows).rref(), labels)
+
+
 class ColumnSpace:
     """Exact coordinates of vectors in the span of fixed columns.
 
@@ -396,11 +447,13 @@ class ColumnSpace:
         self.field = field
         self.ambient_dim = ambient_dim
         rows = [{**col, ambient_dim + i: field.one} for i, col in enumerate(columns)]
-        # the span of the [column | e_i] rows: a target vector lies in the
-        # column span exactly when its residue has no entry below
-        # ambient_dim, and then its residue on positions >= ambient_dim is
-        # minus its coordinates
-        self._space = SubspaceReducer(field, ambient_dim + len(columns), rows)
+        # the span of the [column | e_i] rows, echelonized in natural order
+        # so that the ambient columns pivot before the e_i columns: a target
+        # vector lies in the column span exactly when its residue has no
+        # entry below ambient_dim, and then its residue on positions
+        # >= ambient_dim is minus its coordinates
+        n = ambient_dim + len(columns)
+        self._space = _EchelonQuotient(field, n, _reducer(field, rows).rref(), range(n))
 
     def coordinates(self, vec: dict) -> dict | None:
         """coords c with sum_i c_i col_i = vec, or None if vec not in span."""

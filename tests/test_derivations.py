@@ -17,7 +17,7 @@ from arrsheaf.derivations import (
     vector_to_polys,
 )
 from arrsheaf.lattice import build_lattice
-from arrsheaf.linalg import GF, QQ, sparse_rank
+from arrsheaf.linalg import GF, QQ, RowReducer, sparse_rank
 from arrsheaf.monomials import poly_eval, poly_from_linear
 
 
@@ -315,6 +315,33 @@ def test_stopped_scan_loses_no_generator(label):
         assert eng.space_dim(members, d) == free_module_dims(
             cert.exponents, arr.ell, d
         )
+
+
+def natural_order_generators(arr, up_to_degree):
+    """The generator scan with no column renumbering and no Saito stop: the
+    span of S_1 times the piece below, in natural column order, then every
+    basis vector of the piece in order."""
+    eng = engine_for(arr)
+    members = tuple(range(arr.size))
+    gens = []
+    for d in range(up_to_degree + 1):
+        red = RowReducer(arr.field)
+        if d > 0:
+            for v in eng.space_basis(members, d - 1):
+                for i in range(arr.ell):
+                    e = tuple(int(k == i) for k in range(arr.ell))
+                    red.add_row(multiply_vector(arr, v, {e: arr.field.one}, d - 1))
+        gens += [(d, v) for v in eng.space_basis(members, d) if red.add_row(v)]
+    return gens
+
+
+@pytest.mark.parametrize("label", ["generic-4-6", "braid-3-mod-p"])
+def test_generator_scan_matches_natural_order(label):
+    # the fill-reducing renumbering decides no generator: degrees and
+    # vectors are those of the natural-order scan (tensor_top_dim reads the
+    # vectors, and no golden file prints them)
+    arr = braid3_mod_large_prime() if label == "braid-3-mod-p" else catalog("generic", 4, 6)
+    assert minimal_generators(arr, arr.size) == natural_order_generators(arr, arr.size)
 
 
 def test_not_free_scan_runs_to_the_bound():

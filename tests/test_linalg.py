@@ -342,3 +342,43 @@ def test_column_space_fractional_coordinates():
     space = ColumnSpace(QQ, [{0: 2}, {0: 1, 1: 3}], 2)
     assert space.coordinates({0: 1, 1: 2}) == {0: Fraction(1, 6), 1: Fraction(2, 3)}
     assert space.coordinates({0: Fraction(1, 2)}) == {0: Fraction(1, 4)}
+
+
+@st.composite
+def _order_cases(draw):
+    """``_subspace_cases`` plus a permutation of the generators and one of
+    the columns."""
+    field, n, gens, inside, u, w, _a, _b = draw(_subspace_cases())
+    row_order = draw(st.permutations(range(len(gens))))
+    col_order = draw(st.permutations(range(n)))
+    return field, n, gens, inside, (u, w), row_order, col_order
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=_order_cases())
+def test_fill_reducing_order_changes_nothing_read(case):
+    """The renumbered eliminations give what the callers read: the rank of
+    a natural-order RowReducer, unchanged by permuting rows and columns;
+    free positions whose unit vectors lift a basis of the quotient (cech
+    builds its lifts from exactly those positions); membership; and the same
+    free positions on a second build."""
+    field, n, gens, inside, vecs, row_order, col_order = case
+    rows = sparse(gens)
+    natural = RowReducer(field)
+    for row in rows:
+        natural.add_row(row)
+    assert sparse_rank(field, rows) == natural.rank
+    permuted = [{col_order[j]: v for j, v in rows[i].items()} for i in row_order]
+    assert sparse_rank(field, permuted) == natural.rank
+
+    red = SubspaceReducer(field, n, rows)
+    assert red.quotient_dim == n - natural.rank
+    assert sorted(red.free_positions) == sorted(set(red.free_positions))
+    units = [{pos: field.one} for pos in red.free_positions]
+    images = [red.quotient_coords(unit) for unit in units]
+    assert sparse_rank(field, images) == red.quotient_dim
+    assert sparse_rank(field, rows + units) == n
+    assert red.quotient_coords(sparse([inside])[0]) == {}
+    for vec in sparse(vecs):
+        assert (red.quotient_coords(vec) == {}) == natural.contains(vec)
+    assert SubspaceReducer(field, n, rows).free_positions == red.free_positions

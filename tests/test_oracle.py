@@ -174,8 +174,9 @@ def test_known_global_rank_equals_elimination(source, cells, flat_covers, field,
     """``dims_at`` hands ``exact_sequence_dims`` r0 = dim W - dim M_d instead
     of eliminating it.  On every sampled engine cell, eliminating r0 from the
     W-basis lifts must give the same dims.  The flat covers have q = |A|, so
-    their D cells are sampled at K = 1 only, and at ell = 4 only the
-    coordinate cover is in reach."""
+    their D cells are sampled at K = 1, and at K = 2 only on braid-3's
+    minimal flat cover at d in {0, 1}; at ell = 4 only the coordinate cover
+    is in reach."""
     if source == "nonfree-4-7":
         normals = _NONFREE_4_7
     else:
@@ -195,16 +196,18 @@ def test_known_global_rank_equals_elimination(source, cells, flat_covers, field,
         return known
 
     monkeypatch.setattr(oracle, "exact_sequence_dims", both_routes)
-    covers = [("coords", None)]
+    # (cover, centers, the D cells sampled on it); O samples every cell
+    covers = [("coords", None, cells)]
     if flat_covers:
-        covers += [("flats", lat.l0_minimal_indices()), ("flats", lat.l0_indices())]
+        d_flat = [(d, k) for d, k in cells if k == 1]
+        d_minimal = d_flat + ([(0, 2), (1, 2)] if source == ("braid", 3) else [])
+        covers += [("flats", lat.l0_minimal_indices(), d_minimal),
+                   ("flats", lat.l0_indices(), d_flat)]
     expected = 0
     for module in ("D", "O"):
-        for cover, centers in covers:
+        for cover, centers, d_cells in covers:
             eng = _truncated_engine(arr, module, cover, lat, centers)
-            for d, k in cells:
-                if module == "D" and cover == "flats" and k > 1:
-                    continue
+            for d, k in (d_cells if module == "D" else cells):
                 eng.dims_at(d, k, arr.ell - 1)
                 expected += 1
     assert len(compared) == expected
