@@ -17,9 +17,11 @@ Two computation routes produce identical dimensions:
   Over any cover of principal opens the nerve is a full simplex, so the
   constant functor is acyclic, and R decomposes into summands supported on
   the full subsimplices {centers inside h}, hence is acyclic with known
-  global sections.  ``oracle.exact_sequence_dims`` (shared with the
-  punctured-spectrum engine, and the one statement of its formulas) reads
-  the dims h of Q off the small cokernel complex C; the first sequence gives
+  global sections.  ``oracle.block_complex_dims`` (the ranker shared with
+  the punctured-spectrum engine) ranks the small cokernel complex C, r0 is
+  the rank of the global sections of R in C^0, and
+  ``oracle.exact_sequence_dims`` reads the dims h of Q off both; the first
+  sequence gives
 
       dim H^0 = dim D(A)_d
       dim H^1 = h^0 - dim S_d^ell + dim D(A)_d
@@ -46,6 +48,7 @@ from .oracle import (  # CapExceeded is re-exported for the CLI and the package
     CapExceeded,
     _check_tuple_cap,
     _truncated_engine,
+    block_complex_dims,
     exact_sequence_dims,
     stabilized_dims,
 )
@@ -302,7 +305,7 @@ def cohomology_dims(c: CechComplex) -> dict[int, int]:
 
 class _CokernelComplex:
     """Cokernels C(J) = coker(S_d^ell -> sum_h S/(alpha_h)) over cover joins,
-    as the blocks ``exact_sequence_dims`` reads.  A block is spanned by the
+    as the blocks ``block_complex_dims`` reads.  A block is spanned by the
     lifts of its free quotient positions to single (h, row) entries of R; a
     lift maps into C(J) by dropping the hyperplanes off J and reducing.
     Blocks at independent flats are zero and never built; every other block
@@ -371,15 +374,24 @@ def _derivation_dims_via_sequences(
     out = {0: dim_d_top}
     if n_max == 0:
         return out
-    # H^n reads h^{n-1}, which needs cokernel levels through n-1
+    # H^n reads h^{n-1} of Q, which needs h^{n-2} of C
+    field = arr.field
+    cok = _CokernelComplex(arr, lattice, d)
+    c_dims = block_complex_dims(field, cover.centers, lattice.meet_many, cok.block,
+                                n_max - 2)
+    # r0: the rank in C^0 of the global sections of R, one lift per (h, row)
     block = dim_poly(arr.ell - 1, d)
-    one = arr.field.one
-    q_dims = exact_sequence_dims(
-        arr.field, cover.centers, lattice.meet_many,
-        _CokernelComplex(arr, lattice, d).block, arr.size * block,
-        [{(h, idx): one} for h in range(arr.size) for idx in range(block)],
-        n_max - 1,
-    )
+    level0 = [b for b in map(cok.block, cover.centers) if b is not None]
+    columns = []
+    for lift in ({(h, idx): field.one} for h in range(arr.size) for idx in range(block)):
+        col: dict = {}
+        off = 0
+        for _dim, height, _lifts, project in level0:
+            col.update((off + i, v) for i, v in project(lift).items())
+            off += height
+        columns.append(col)
+    r0 = sparse_rank(field, columns)
+    q_dims = exact_sequence_dims(arr.size * block, r0, c_dims, n_max - 1)
     out[1] = q_dims[0] - arr.ell * dim_poly(arr.ell, d) + dim_d_top
     if out[1] < 0:
         raise RuntimeError("negative H^1 dimension; exactness bug")

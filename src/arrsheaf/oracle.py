@@ -4,10 +4,14 @@ Sections of a module sheaf over a chart intersection are fractions with a
 fixed denominator power; at truncation level K every tuple space embeds into
 the common space W = M_{d + K q} (q the degree of the product of all
 denominators) by multiplying with the complementary cofactor.  Restrictions
-become literal inclusions of subspaces of W, so the Cech complex at level K
-is the kernel of the constant functor W onto the quotient functor W / V_T.
-``exact_sequence_dims`` states the dimension formulas once; the lattice side
-(``cech``) applies the same function to its cokernel complex.
+become literal inclusions of subspaces V_T of W, so the Cech complex at level
+K is the complex of sections V_T, and also the kernel of the constant functor
+W onto the quotient functor W / V_T.  ``block_complex_dims`` ranks every Cech
+complex of the package, given block by block: the sections V_T on the
+coordinate cover, the quotients W / V_T on the flat covers, and the cokernel
+complex of the lattice side (``cech``).  ``exact_sequence_dims`` states the
+long exact sequence that turns the dims of a quotient complex into those of
+its kernel.
 
 True cohomology is the direct limit over K; dimensions are reported at the
 first K starting a run of three equal levels (vacuous truncations with an
@@ -31,13 +35,7 @@ from .arrangement import Arrangement, FormProduct, cofactor_forms
 from .derivations import engine_for, multiply_vector
 from .lattice import IntersectionLattice
 from .linalg import RowReducer, SubspaceReducer, sparse_rank
-from .monomials import (
-    basis,
-    dim_poly,
-    poly_from_linear,
-    poly_pow,
-    poly_product,
-)
+from .monomials import dim_poly, poly_from_linear, poly_pow, poly_product
 
 
 # ---------------------------------------------------------------------------
@@ -59,50 +57,39 @@ def _check_tuple_cap(n_centers: int, levels: int, cap: int) -> None:
         )
 
 
-def exact_sequence_dims(field, centers, join, quotient, global_dim: int,
-                        global_lifts, n_max: int,
-                        global_rank: int | None = None) -> dict[int, int]:
-    """H^0 .. H^{n_max} of V = ker(A -> C) over a cover whose nerve is a full
-    simplex, where A is acyclic with global sections G and A -> C is onto.
-
-    With r0 = rank(G -> C^0) and delta^n the coboundaries of C, the long exact
-    sequence gives
-
-        h^0 = dim G - r0
-        h^1 = dim C^0 - rank delta^0 - r0
-        h^n = dim C^{n-1} - rank delta^{n-1} - rank delta^{n-2}      (n >= 2)
+def block_complex_dims(field, centers, join, block, n_max: int) -> dict[int, int]:
+    """H^0 .. H^{n_max} of a Cech complex C over a cover whose nerve is a full
+    simplex: h^n = dim C^n - rank delta^n - rank delta^{n-1}.
 
     ``join`` maps a tuple of centers to the key of its intersection.
-    ``quotient(key)`` is None when C(key) = 0 and otherwise (dim, height,
-    lifts, project): dim C(key); the number of coordinates ``project``
-    returns; vectors of A(key) whose images span C(key); and the map taking a
-    vector of A over a face of the key to its coordinates in C(key).
-    ``global_lifts`` span G, of dimension ``global_dim``.  A caller that
-    knows r0 passes it as ``global_rank``; then ``global_lifts`` is not read
-    and r0 is not eliminated.  Left unset, r0 is the rank of the images of
-    ``global_lifts`` in C^0.  The tuples of the cover are counted against
-    ``DEFAULT_TUPLE_CAP`` before any is built.
+    ``block(key)`` is None when C(key) = 0 and otherwise (dim, height, lifts,
+    project): dim C(key); the number of coordinates ``project`` returns;
+    vectors whose images span C(key); and the map taking a lift of a face of
+    the key to its coordinates in C(key).  The tuples of the cover are
+    counted against ``DEFAULT_TUPLE_CAP`` before any is built.
     """
-    _check_tuple_cap(len(centers), n_max + 1, DEFAULT_TUPLE_CAP)
+    n_levels = n_max + 2  # delta^{n_max} reaches level n_max + 1
+    _check_tuple_cap(len(centers), n_levels, DEFAULT_TUPLE_CAP)
     blocks: dict = {}
     levels = []
-    for n in range(min(n_max + 1, len(centers))):
+    for n in range(min(n_levels, len(centers))):
         entries = []
         for t in combinations(range(len(centers)), n + 1):
             key = join(centers[i] for i in t)
             if key not in blocks:
-                blocks[key] = quotient(key)
+                blocks[key] = block(key)
             if blocks[key] is not None:
                 entries.append((t, blocks[key]))
         levels.append(entries)
 
-    delta_ranks = []
+    ranks = [0]  # ranks[n] is the rank of delta^{n-1}, the map into C^n
     for src, dst in zip(levels, levels[1:]):
         faces = {}
         col_off = 0
         for t, (_dim, _height, lifts, _project) in src:
             faces[t] = (col_off, lifts)
             col_off += len(lifts)
+        # a face sits in a tuple in one way only, so no entry is hit twice
         rows: list[dict] = [dict() for _ in range(sum(b[1] for _t, b in dst))]
         row_off = 0
         for t, (_dim, height, _lifts, project) in dst:
@@ -111,41 +98,33 @@ def exact_sequence_dims(field, centers, join, quotient, global_dim: int,
                 if face is None:
                     continue
                 c_off, lifts = face
-                sign = field.one if k % 2 == 0 else field.neg(field.one)
                 for j, lift in enumerate(lifts):
                     for i, v in project(lift).items():
-                        r = rows[row_off + i]
-                        w = field.add(r.get(c_off + j, field.zero), field.mul(sign, v))
-                        if w == 0:
-                            r.pop(c_off + j, None)
-                        else:
-                            r[c_off + j] = w
+                        rows[row_off + i][c_off + j] = v if k % 2 == 0 else field.neg(v)
             row_off += height
-        delta_ranks.append(sparse_rank(field, rows))
+        ranks.append(sparse_rank(field, rows))
+    ranks.append(0)
 
-    if global_rank is None and levels[0]:
-        columns = []
-        for lift in global_lifts:
-            col: dict = {}
-            off = 0
-            for _t, (_dim, height, _lifts, project) in levels[0]:
-                for i, v in project(lift).items():
-                    col[off + i] = v
-                off += height
-            if col:
-                columns.append(col)
-        global_rank = sparse_rank(field, columns)
-    r0 = global_rank or 0
+    out = {n: 0 for n in range(n_max + 1)}
+    for n, entries in enumerate(levels[: n_max + 1]):
+        out[n] = sum(b[0] for _t, b in entries) - ranks[n + 1] - ranks[n]
+    if any(v < 0 for v in out.values()):
+        raise RuntimeError("negative cohomology dimension; exactness bug")
+    return out
 
-    # ranks[n] is the rank of the map into C^n: r0, then delta^{n-1}
-    ranks = [r0] + delta_ranks
+
+def exact_sequence_dims(global_dim: int, r0: int, quotient_dims: dict[int, int],
+                        n_max: int) -> dict[int, int]:
+    """H^0 .. H^{n_max} of V = ker(A -> C), where A is acyclic with global
+    sections G of dimension ``global_dim`` and A -> C is onto, from the long
+    exact sequence: with ``quotient_dims`` the dims of H^0 .. H^{n_max-1}(C)
+    and r0 = rank(G -> C^0),
+
+        h^0(V) = dim G - r0,  h^1(V) = h^0(C) - r0,  h^n(V) = h^{n-1}(C).
+    """
     out = {0: global_dim - r0}
     for n in range(1, n_max + 1):
-        if n > len(levels):
-            out[n] = 0
-            continue
-        rank_out = ranks[n] if n < len(ranks) else 0
-        out[n] = sum(b[0] for _t, b in levels[n - 1]) - rank_out - ranks[n - 1]
+        out[n] = quotient_dims[n - 1] - (r0 if n == 1 else 0)
     if any(v < 0 for v in out.values()):
         raise RuntimeError("negative cohomology dimension; exactness bug")
     return out
@@ -208,63 +187,35 @@ class _FlatCover:
 
 
 # ---------------------------------------------------------------------------
-# module piece providers
+# module piece providers: graded pieces inside copies of S_t (monomial
+# coordinates, block-major)
 
 
-class _Pieces:
-    """Graded pieces inside ``blocks`` copies of S_t (monomial coordinates,
-    block-major); subclasses say which submodule."""
-
-    blocks: int
+class _StructurePieces:
+    """Graded pieces of S itself: ambient = monomial coordinates."""
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
 
     def ambient_dim(self, t: int) -> int:
-        return self.blocks * dim_poly(self.arr.ell, t)
-
-    def divisibility_split(self, shift: tuple, num_degree: int, amb_degree: int) -> dict:
-        ell = self.arr.ell
-        amb = basis(ell, amb_degree)
-        num = basis(ell, num_degree) if num_degree >= 0 else None
-        rest_index: dict = {}
-        shift_back: dict = {}
-        for i in range(self.blocks):
-            for j, m in enumerate(amb.tuples):
-                flat = i * len(amb.tuples) + j
-                if num is not None and all(a >= b for a, b in zip(m, shift)):
-                    shift_back[flat] = i * len(num.tuples) + num.index[
-                        tuple(a - b for a, b in zip(m, shift))
-                    ]
-                else:
-                    rest_index[flat] = len(rest_index)
-        return {"rest_index": rest_index, "shift_back": shift_back,
-                "rest_size": len(rest_index)}
-
-
-class _StructurePieces(_Pieces):
-    """Graded pieces of S itself: ambient = monomial coordinates."""
-
-    blocks = 1
-
-    def module_dim(self, t: int) -> int:
         return dim_poly(self.arr.ell, t)
+
+    module_dim = ambient_dim
 
     def module_basis(self, t: int) -> list[dict]:
         return [{i: self.arr.field.one} for i in range(dim_poly(self.arr.ell, t))]
 
-    def constraint_columns_at(self, t: int) -> dict:
-        return {"rows": 0, "columns": [{} for _ in range(max(0, dim_poly(self.arr.ell, t)))]}
 
-
-class _DerivationPieces(_Pieces):
+class _DerivationPieces:
     """Graded pieces of the full derivation module inside S_t^ell."""
 
     def __init__(self, arr: Arrangement):
-        super().__init__(arr)
-        self.blocks = arr.ell
+        self.arr = arr
         self.engine = engine_for(arr)
         self.all_members = tuple(range(arr.size))
+
+    def ambient_dim(self, t: int) -> int:
+        return self.engine.ambient_dim(t)
 
     def module_dim(self, t: int) -> int:
         return self.engine.space_dim(self.all_members, t)
@@ -272,88 +223,9 @@ class _DerivationPieces(_Pieces):
     def module_basis(self, t: int) -> list[dict]:
         return self.engine.space_basis(self.all_members, t)
 
-    def constraint_columns_at(self, t: int) -> dict:
-        cols, layout = self.engine.constraint_columns(self.all_members, t)
-        return {"rows": layout["total"], "columns": cols}
-
 
 # ---------------------------------------------------------------------------
-# the truncated quotient-complex engine
-
-
-class _TupleSpace:
-    """The quotient W / V_key with V_key = cofactor^K * M_{numerator degree},
-    exposed through an injective linear map into a coordinate space (any such
-    map preserves the ranks the dimension formulas need).
-
-    When the cofactor power is a single monomial x^a, membership in V splits
-    coordinatewise: v lies in V iff v is divisible by x^a and the shifted-back
-    numerator satisfies the module constraints.  The quotient map is then
-    (coordinates not divisible by x^a, constraint matrix applied to the
-    divisible part) and needs no echelonization.  General cofactors fall back
-    to an echelon reducer for V.
-    """
-
-    def __init__(self, engine: "TruncatedEngine", key, num_degree: int, amb_degree: int):
-        field = engine.field
-        self.field = field
-        power = engine.cofactor_power(key, amb_degree - num_degree) if num_degree >= 0 else None
-        if power is not None and len(power) == 1 and next(iter(power.values())) == field.one:
-            shift = next(iter(power))
-            self._init_monomial(engine, shift, num_degree, amb_degree)
-        else:
-            self._init_reducer(engine, power, num_degree, amb_degree)
-
-    # -- monomial fast path --------------------------------------------------
-
-    def _init_monomial(self, engine, shift, num_degree: int, amb_degree: int):
-        self._mode = "monomial"
-        pieces = engine.pieces
-        self._split = pieces.divisibility_split(shift, num_degree, amb_degree)
-        self._constraints = pieces.constraint_columns_at(num_degree)
-        rest_size, constraint_rows = self._split["rest_size"], self._constraints["rows"]
-        self.out_dim = rest_size + constraint_rows
-
-    # -- generic reducer path --------------------------------------------------
-
-    def _init_reducer(self, engine, power, num_degree: int, amb_degree: int):
-        self._mode = "reducer"
-        pieces = engine.pieces
-        generators = []
-        if num_degree >= 0:
-            for v in pieces.module_basis(num_degree):
-                generators.append(multiply_vector(engine.arr, v, power, num_degree))
-        self.reducer = SubspaceReducer(
-            engine.field, pieces.ambient_dim(amb_degree), generators
-        )
-        self.out_dim = self.reducer.quotient_dim
-
-    def coords(self, vec: dict) -> dict:
-        if self._mode == "reducer":
-            return self.reducer.quotient_coords(vec)
-        split = self._split
-        cons = self._constraints
-        field = self.field
-        out: dict = {}
-        shifted: dict = {}
-        rest_index = split["rest_index"]
-        shift_back = split["shift_back"]
-        for j, v in vec.items():
-            r = rest_index.get(j)
-            if r is not None:
-                out[r] = v
-            else:
-                shifted[shift_back[j]] = v
-        rest_size = split["rest_size"]
-        for j, v in shifted.items():
-            for i, c in cons["columns"][j].items():
-                pos = rest_size + i
-                w = field.add(out.get(pos, field.zero), field.mul(v, c))
-                if w == 0:
-                    out.pop(pos, None)
-                else:
-                    out[pos] = w
-        return out
+# the truncated Cech complex engine
 
 
 class TruncatedEngine:
@@ -365,14 +237,6 @@ class TruncatedEngine:
         self.cover = cover
         self.pieces = pieces
         self._powers: dict = {}
-        self._w_bases: dict = {}
-
-    def w_basis(self, amb_degree: int) -> list[dict]:
-        hit = self._w_bases.get(amb_degree)
-        if hit is None:
-            hit = self.pieces.module_basis(amb_degree)
-            self._w_bases[amb_degree] = hit
-        return hit
 
     def cofactor_power(self, key, degree_needed: int) -> dict:
         """cofactor(key)^K where K = degree_needed / deg cofactor."""
@@ -390,45 +254,71 @@ class TruncatedEngine:
             self._powers[cache_key] = hit
         return hit
 
-    def tuple_space(self, key, num_degree: int, amb_degree: int) -> _TupleSpace:
+    def tuple_space(self, key, num_degree: int, amb_degree: int) -> list[dict]:
+        """Spanning vectors c^K b of V_key inside W, b over a basis of the
+        numerator piece; empty when ``num_degree`` is negative."""
         # a method of its own, so a profiler (perfbench/tracer.py) can time it
-        return _TupleSpace(self, key, num_degree, amb_degree)
+        if num_degree < 0:
+            return []
+        power = self.cofactor_power(key, amb_degree - num_degree)
+        return [multiply_vector(self.arr, b, power, num_degree)
+                for b in self.pieces.module_basis(num_degree)]
 
     def dims_at(self, d: int, k: int, n_max: int) -> dict[int, int]:
-        """H^0 .. H^{n_max} of the level-k truncated complex in degree d:
-        ``exact_sequence_dims`` with G = W = M_{d + k q} and C(T) = W / V_T.
+        """H^0 .. H^{n_max} of the level-k truncated complex in degree d.
 
-        The rank r0 of W -> C^0 is passed as dim W - dim M_d, not eliminated.
-        Every cover used here (coordinate charts, minimal or full flat cover)
-        covers the punctured spectrum U, and M (S or D(A)) is reflexive with
-        ell >= 2, so Gamma(U, M~)_d = M_d.  The level-k complex is a
-        subcomplex of the localized Cech complex, so its H^0 lies inside
-        c^k M_d, where c is the product of all denominators; and c^k M_d lies
-        in every V_T, so H^0 = c^k M_d has dimension dim M_d (0 for d < 0).
-        A wrong r0 would show up as a negative dimension, which
-        ``exact_sequence_dims`` raises, or in h^1."""
-        cover = self.cover
+        Its term over a tuple T is V_T = c_T^k M_{d + k deg}, embedded in the
+        common space W = M_{d + k q} by the cofactor power c_T^k; its maps
+        are inclusions.  The coordinate cover ranks this complex of sections
+        directly.  The flat covers rank the quotients C(T) = W / V_T and read
+        the dims off the long exact sequence of 0 -> V -> W -> C -> 0 with
+        r0 = rank(W -> C^0) = dim W - dim M_d: each flat cover covers the
+        punctured spectrum U, and M (S or D(A)) is reflexive with ell >= 2,
+        so Gamma(U, M~)_d = M_d.  The level-k complex is a subcomplex of the
+        localized Cech complex, so its H^0 lies inside c^k M_d, where c is
+        the product of all denominators; and c^k M_d lies in every V_T, so
+        H^0 = c^k M_d has dimension dim M_d (0 for d < 0).  A wrong r0 would
+        show up as a negative dimension, which ``exact_sequence_dims``
+        raises, or in h^1."""
+        cover, pieces = self.cover, self.pieces
         amb_degree = d + k * cover.full_degree
-        w_dim = self.pieces.module_dim(amb_degree)
+        w_dim = pieces.module_dim(amb_degree)
         if w_dim == 0:
             return {n: 0 for n in range(n_max + 1)}
-        # the projections W -> W/V are onto, so the whole W-basis spans every
-        # block; block coordinates index ambient/V, in which W/V embeds, so a
-        # block's height can exceed its dimension dim W - dim V
-        w_vectors = self.w_basis(amb_degree)
+        amb_dim = pieces.ambient_dim(amb_degree)
+
+        def section(key):
+            num_degree = d + k * cover.multiplier_degree(key)
+            dim = pieces.module_dim(num_degree)
+            if not dim:
+                return None
+            return dim, amb_dim, self.tuple_space(key, num_degree, amb_degree), _identity
+
+        if isinstance(cover, _CoordCover):
+            return block_complex_dims(self.field, cover.center_keys, cover.join,
+                                      section, n_max)
+
+        # flat covers take the quotient route: most tuples join to the bottom
+        # flat, where V_T = W and the quotient drops them (sections: 5-180x slower)
+        w_vectors = pieces.module_basis(amb_degree)
 
         def quotient(key):
             num_degree = d + k * cover.multiplier_degree(key)
-            dim = w_dim - self.pieces.module_dim(num_degree)
+            dim = w_dim - pieces.module_dim(num_degree)
             if not dim:
                 return None
-            space = self.tuple_space(key, num_degree, amb_degree)
-            return dim, space.out_dim, w_vectors, space.coords
+            red = SubspaceReducer(self.field, amb_dim,
+                                  self.tuple_space(key, num_degree, amb_degree))
+            return dim, red.quotient_dim, w_vectors, red.quotient_coords
 
-        return exact_sequence_dims(
-            self.field, cover.center_keys, cover.join, quotient, w_dim, w_vectors, n_max,
-            global_rank=w_dim - self.pieces.module_dim(d),
-        )
+        quotient_dims = block_complex_dims(self.field, cover.center_keys, cover.join,
+                                           quotient, n_max - 1)
+        return exact_sequence_dims(w_dim, w_dim - pieces.module_dim(d),
+                                   quotient_dims, n_max)
+
+
+def _identity(vec: dict) -> dict:
+    return vec
 
 
 def _truncated_engine(arr: Arrangement, module: str, cover: str,
@@ -512,7 +402,7 @@ class PuncturedCohomologyResult:
         return self.entries[(n, d)]
 
     def is_stable(self, n: int, d: int) -> bool:
-        return (n, d) not in set(self.unstable)
+        return (n, d) not in self.unstable
 
     def to_json(self, arr: Arrangement) -> dict:
         return {
@@ -528,7 +418,7 @@ class PuncturedCohomologyResult:
                     "d": d,
                     "dim": self.entries[(n, d)],
                     "stabilized_at": self.stabilized_at[(n, d)],
-                    "stable": (n, d) not in set(self.unstable),
+                    "stable": (n, d) not in self.unstable,
                 }
                 for (n, d) in sorted(self.entries)
             ],

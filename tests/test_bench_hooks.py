@@ -62,3 +62,24 @@ def test_rank_and_kernel_reach_hooked_add_row(monkeypatch, characteristic):
     assert len(seen) == 3
     assert len(linalg.sparse_kernel_basis(field, rows, 3)) == 1
     assert len(seen) == 6
+
+
+@pytest.mark.parametrize("cover", ["coords", "flats"])
+def test_dims_at_builds_blocks_through_tuple_space(monkeypatch, boolean3, cover):
+    # the tracer times V_T spanning sets through TruncatedEngine.tuple_space,
+    # so both the sections route (coordinate cover) and the quotient route
+    # (flat covers) must build them through it
+    from arrsheaf import build_lattice, oracle
+
+    seen = []
+    tuple_space = oracle.TruncatedEngine.tuple_space
+
+    def counted(self, key, num_degree, amb_degree):
+        seen.append(key)
+        return tuple_space(self, key, num_degree, amb_degree)
+
+    monkeypatch.setattr(oracle.TruncatedEngine, "tuple_space", counted)
+    lat = build_lattice(boolean3)
+    eng = oracle._truncated_engine(boolean3, "D", cover, lat, lat.l0_minimal_indices())
+    assert eng.dims_at(1, 1, 2) == {0: 3, 1: 0, 2: 0}
+    assert seen

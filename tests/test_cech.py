@@ -272,27 +272,16 @@ def test_shortcut_equals_direct_braid4_degree0():
     assert direct[3] == 1
 
 
-# ell = 4, not free: the pd regression arrangement of test_diagnostics
-_NONFREE_4_7 = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 1),
-                (1, 0, 0, 0), (1, 1, -1, 1), (1, 2, 0, 0)]
-
-
 @pytest.mark.parametrize("field", ["Q", "Fp 2147483647"])
 @pytest.mark.parametrize(
     "source", [("boolean", 3), ("braid", 4), ("generic", 4, 6), "nonfree-4-7"],
     ids=["boolean-3", "braid-4", "generic-4-6", "nonfree-4-7"])
-def test_cokernel_blocks_skip_only_zero_ranks(source, field):
+def test_cokernel_blocks_skip_only_zero_ranks(source, field, arrangement_over):
     """Blocks at independent flats (as many members as codimension) are
     skipped unbuilt.  There the eliminated constraint rank is full, and at
     every flat the block has dimension |X| dim_poly(ell-1, d) minus that
     rank, or is None when this is 0."""
-    if source == "nonfree-4-7":
-        normals = _NONFREE_4_7
-    else:
-        cat = catalog(*source)
-        normals = [cat.normal(h) for h in range(cat.size)]
-    arr = parse_arrangement(f"field {field}\ndim {len(normals[0])}\n" + "".join(
-        "hyperplane " + " ".join(map(str, n)) + "\n" for n in normals))
+    arr = arrangement_over(source, field)
     lat = build_lattice(arr)
     eng = engine_for(arr)
     for d in range(4):

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from arrsheaf import cech, derivations, diagnostics
-from arrsheaf.arrangement import catalog, parse_arrangement
+from arrsheaf.arrangement import catalog
 from arrsheaf.cech import lattice_cohomology_table
 from arrsheaf.derivations import FreenessCertificate, freeness_certificate
 from arrsheaf.diagnostics import (
@@ -66,19 +66,29 @@ def test_pd_via_lattice_values(braid3, braid3_lattice, generic34, generic34_latt
     assert _pd_via_lattice(generic34, generic34_lattice, (-7, 4)) == 1
 
 
-def test_pd_via_lattice_uses_lowest_middle_level():
+def test_pd_via_lattice_uses_lowest_middle_level(arrangement_over):
     # ell = 4, not free, with nonzero H^1 and H^2 on the window: the smallest
     # p with H^n = 0 for 0 < n < ell-1-p is ell-1-1 = 2, not ell-1-2 = 1
-    normals = ["0 0 0 1", "0 0 1 0", "0 1 0 0", "0 1 1 1", "1 0 0 0", "1 1 -1 1", "1 2 0 0"]
-    arr = parse_arrangement(
-        "field Q\ndim 4\n" + "".join(f"hyperplane {n}\n" for n in normals)
-    )
+    arr = arrangement_over("nonfree-4-7", "Q")
     lat = build_lattice(arr)
     table = lattice_cohomology_table(arr, lat, "D", (0, 1))
     assert table.dim(1, 1) != 0 and table.dim(2, 0) != 0
     assert pd_from_middle_levels(table.entries, arr.ell) == 2
     report = build_report(arr, lat, window=(0, 1), with_kunneth=False)
     assert report["pd_via_lattice"] == 2
+
+
+def test_pd_via_oracle_at_ell4_nonfree(arrangement_over):
+    # the punctured-spectrum engine confirms pd = 2 on the same arrangement,
+    # and every Kunneth cell of the window is stable and agrees
+    arr = arrangement_over("nonfree-4-7", "Q")
+    lat = build_lattice(arr)
+    report = build_report(arr, lat, window=(0, 1), kunneth_window=(0, 1), kmax=5)
+    assert report["pd_via_oracle"]["pd"] == report["pd_via_lattice"] == 2
+    assert report["pd_via_oracle"]["unstable"] == ()
+    kunneth = report["kunneth"]
+    assert kunneth["cells_checked"] == 8
+    assert kunneth["mismatches"] == [] and kunneth["excluded_unstable"] == []
 
 
 def test_pd_upper_bound(generic34, generic34_lattice):

@@ -2,13 +2,11 @@ import random
 
 import pytest
 
-from arrsheaf import oracle
-from arrsheaf.arrangement import catalog, cofactor_forms, parse_arrangement
+from arrsheaf.arrangement import catalog, cofactor_forms
 from arrsheaf.derivations import derivation_space, free_module_dims, freeness_certificate
 from arrsheaf.lattice import build_lattice
 from arrsheaf.oracle import (
     _truncated_engine,
-    exact_sequence_dims,
     local_cohomology_dims,
     localization_identity_check,
     localized_derivations,
@@ -156,58 +154,78 @@ def test_generic34_second_local_cohomology_witness(generic34):
     assert all(dim == 0 for (i, d), dim in local["entries"].items() if i < 2)
 
 
-# ell = 4, not free: the pd regression arrangement of test_diagnostics
-_NONFREE_4_7 = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 1),
-                (1, 0, 0, 0), (1, 1, -1, 1), (1, 2, 0, 0)]
-_CELLS = [(d, k) for k in (1, 2) for d in (-1, 0, 1)]
+# dims_at(d, k, ell - 1) as (H^0, ..., H^{ell-1}) per (module, cover) and
+# (d, k) cell, alike over Q and GF(2^31-1).  They were computed while r0 was
+# still eliminated from the W-basis lifts on every cover and checked equal to
+# the known r0 = dim W - dim M_d on every cell.  The flat covers have q = |A|,
+# so their D cells are sampled at K = 1, and at K = 2 only on braid-3's
+# minimal cover; at ell = 4 only the coordinate cover is in reach.
+_PINNED = {
+    ("braid", 3): {
+        ("D", "coords"): {(-1, 1): (0, 0, 1), (0, 1): (0, 0, 1), (1, 1): (1, 0, 0),
+            (-1, 2): (0, 0, 4), (0, 2): (0, 0, 1), (1, 2): (1, 0, 0)},
+        ("D", "minimal"): {(-1, 1): (0, 0, 4), (0, 1): (0, 0, 1), (1, 1): (1, 0, 0),
+            (0, 2): (0, 0, 1), (1, 2): (1, 0, 0)},
+        ("D", "full"): {(-1, 1): (0, 0, 4), (0, 1): (0, 0, 1), (1, 1): (1, 0, 0)},
+        ("O", "coords"): {(-1, 1): (0, 0, 0), (0, 1): (1, 0, 0), (1, 1): (3, 0, 0),
+            (-1, 2): (0, 0, 0), (0, 2): (1, 0, 0), (1, 2): (3, 0, 0)},
+        ("O", "minimal"): {(-1, 1): (0, 0, 0), (0, 1): (1, 0, 0), (1, 1): (3, 0, 0),
+            (-1, 2): (0, 0, 0), (0, 2): (1, 0, 0), (1, 2): (3, 0, 0)},
+        ("O", "full"): {(-1, 1): (0, 0, 0), (0, 1): (1, 0, 0), (1, 1): (3, 0, 0),
+            (-1, 2): (0, 0, 0), (0, 2): (1, 0, 0), (1, 2): (3, 0, 0)},
+    },
+    ("generic", 3, 4): {
+        ("D", "coords"): {(-1, 1): (0, 0, 3), (0, 1): (0, 1, 0), (1, 1): (1, 0, 0),
+            (-1, 2): (0, 0, 0), (0, 2): (0, 1, 0), (1, 2): (1, 0, 0)},
+        ("D", "minimal"): {(-1, 1): (0, 0, 0), (0, 1): (0, 1, 0), (1, 1): (1, 0, 0)},
+        ("D", "full"): {(-1, 1): (0, 0, 0), (0, 1): (0, 1, 0), (1, 1): (1, 0, 0)},
+        ("O", "coords"): {(-1, 1): (0, 0, 0), (0, 1): (1, 0, 0), (1, 1): (3, 0, 0),
+            (-1, 2): (0, 0, 0), (0, 2): (1, 0, 0), (1, 2): (3, 0, 0)},
+        ("O", "minimal"): {(-1, 1): (0, 0, 0), (0, 1): (1, 0, 0), (1, 1): (3, 0, 0),
+            (-1, 2): (0, 0, 0), (0, 2): (1, 0, 0), (1, 2): (3, 0, 0)},
+        ("O", "full"): {(-1, 1): (0, 0, 0), (0, 1): (1, 0, 0), (1, 1): (3, 0, 0),
+            (-1, 2): (0, 0, 0), (0, 2): (1, 0, 0), (1, 2): (3, 0, 0)},
+    },
+    ("boolean", 3): {
+        ("D", "coords"): {(-1, 1): (0, 0, 0), (0, 1): (0, 0, 0), (1, 1): (3, 0, 0),
+            (-1, 2): (0, 0, 0), (0, 2): (0, 0, 0), (1, 2): (3, 0, 0)},
+        ("D", "minimal"): {(-1, 1): (0, 0, 0), (0, 1): (0, 0, 0), (1, 1): (3, 0, 0)},
+        ("D", "full"): {(-1, 1): (0, 0, 0), (0, 1): (0, 0, 0), (1, 1): (3, 0, 0)},
+        ("O", "coords"): {(-1, 1): (0, 0, 0), (0, 1): (1, 0, 0), (1, 1): (3, 0, 0),
+            (-1, 2): (0, 0, 0), (0, 2): (1, 0, 0), (1, 2): (3, 0, 0)},
+        ("O", "minimal"): {(-1, 1): (0, 0, 0), (0, 1): (1, 0, 0), (1, 1): (3, 0, 0),
+            (-1, 2): (0, 0, 0), (0, 2): (1, 0, 0), (1, 2): (3, 0, 0)},
+        ("O", "full"): {(-1, 1): (0, 0, 0), (0, 1): (1, 0, 0), (1, 1): (3, 0, 0),
+            (-1, 2): (0, 0, 0), (0, 2): (1, 0, 0), (1, 2): (3, 0, 0)},
+    },
+    ("braid", 4): {
+        ("D", "coords"): {(0, 2): (0, 0, 0, 1)},
+        ("O", "coords"): {(0, 2): (1, 0, 0, 0)},
+    },
+    "nonfree-4-7": {
+        ("D", "coords"): {(-1, 1): (0, 0, 0, 7), (0, 1): (0, 0, 5, 0),
+            (1, 1): (1, 1, 0, 0)},
+        ("O", "coords"): {(-1, 1): (0, 0, 0, 0), (0, 1): (1, 0, 0, 0),
+            (1, 1): (4, 0, 0, 0)},
+    },
+}
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp 2147483647"])
 @pytest.mark.parametrize(
-    "source,cells,flat_covers",
-    [(("braid", 3), _CELLS, True), (("generic", 3, 4), _CELLS, True),
-     (("boolean", 3), _CELLS, True), (("braid", 4), [(0, 2)], False),
-     ("nonfree-4-7", [(d, 1) for d in (-1, 0, 1)], False)],
+    "source", list(_PINNED),
     ids=["braid-3", "generic-3-4", "boolean-3", "braid-4", "nonfree-4-7"])
-def test_known_global_rank_equals_elimination(source, cells, flat_covers, field,
-                                              monkeypatch):
-    """``dims_at`` hands ``exact_sequence_dims`` r0 = dim W - dim M_d instead
-    of eliminating it.  On every sampled engine cell, eliminating r0 from the
-    W-basis lifts must give the same dims.  The flat covers have q = |A|, so
-    their D cells are sampled at K = 1, and at K = 2 only on braid-3's
-    minimal flat cover at d in {0, 1}; at ell = 4 only the coordinate cover
-    is in reach."""
-    if source == "nonfree-4-7":
-        normals = _NONFREE_4_7
-    else:
-        cat = catalog(*source)
-        normals = [cat.normal(h) for h in range(cat.size)]
-    arr = parse_arrangement(f"field {field}\ndim {len(normals[0])}\n" + "".join(
-        "hyperplane " + " ".join(map(str, n)) + "\n" for n in normals))
+def test_known_global_rank_equals_elimination(source, field, arrangement_over):
+    """The sections route (coordinate cover) and the quotient route with the
+    known r0 (flat covers) reproduce the pinned dims of the quotient route
+    with r0 eliminated."""
+    arr = arrangement_over(source, field)
     lat = build_lattice(arr)
-
-    compared = []
-
-    def both_routes(*args, global_rank):
-        eliminated = exact_sequence_dims(*args)
-        known = exact_sequence_dims(*args, global_rank=global_rank)
-        assert known == eliminated
-        compared.append(known)
-        return known
-
-    monkeypatch.setattr(oracle, "exact_sequence_dims", both_routes)
-    # (cover, centers, the D cells sampled on it); O samples every cell
-    covers = [("coords", None, cells)]
-    if flat_covers:
-        d_flat = [(d, k) for d, k in cells if k == 1]
-        d_minimal = d_flat + ([(0, 2), (1, 2)] if source == ("braid", 3) else [])
-        covers += [("flats", lat.l0_minimal_indices(), d_minimal),
-                   ("flats", lat.l0_indices(), d_flat)]
-    expected = 0
-    for module in ("D", "O"):
-        for cover, centers, d_cells in covers:
-            eng = _truncated_engine(arr, module, cover, lat, centers)
-            for d, k in (d_cells if module == "D" else cells):
-                eng.dims_at(d, k, arr.ell - 1)
-                expected += 1
-    assert len(compared) == expected
+    centers = {"coords": None, "minimal": lat.l0_minimal_indices(),
+               "full": lat.l0_indices()}
+    for (module, cover), cells in _PINNED[source].items():
+        eng = _truncated_engine(arr, module, "coords" if cover == "coords" else "flats",
+                                lat, centers[cover])
+        got = {(d, k): eng.dims_at(d, k, arr.ell - 1) for d, k in cells}
+        assert got == {cell: dict(enumerate(dims)) for cell, dims in cells.items()}, (
+            module, cover)
