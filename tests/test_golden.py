@@ -5,7 +5,9 @@ and exit code with the files recorded under ``tests/golden/``.  Refactors
 that promise unchanged output are held to this battery.  Re-record (only
 when an output change is intended) with
 
-    PYTHONPATH=src python tests/test_golden.py --record
+    PYTHONPATH=src python tests/test_golden.py --record [NAME ...]
+
+which rewrites the named cases, or every case when no name is given.
 """
 
 import contextlib
@@ -38,6 +40,10 @@ CASES = {
     "derivations-generic46-top-d3": (
         ("generic", 4, 6), ["derivations", "{f}", "--flat", "42", "--degree", "3"]),
     "cohomology-braid3": (("braid", 3), ["cohomology", "{f}", "--window", "-2:4"]),
+    # ell = 4 D tables on the default window: level-1 cokernel differentials
+    "cohomology-braid4": (("braid", 4), ["cohomology", "{f}"]),
+    "cohomology-braid4-fp": (("braid", 4), ["cohomology", "{f}"], FP),
+    "cohomology-generic46": (("generic", 4, 6), ["cohomology", "{f}"]),
     "cohomology-O-boolean2": (
         ("boolean", 2),
         ["cohomology", "{f}", "--functor", "O", "--window", "-5:3", "--kmax", "6"]),
@@ -103,13 +109,15 @@ def test_golden_stdout(name, tmp_path):
     assert out == (GOLDEN_DIR / f"{name}.out").read_bytes()
 
 
-def _record() -> None:
+def _record(names=()) -> None:
+    """Rewrite the files and exit codes of ``names``, which keeps the other
+    recorded cases, or of every case when ``names`` is empty."""
     import tempfile
 
     GOLDEN_DIR.mkdir(exist_ok=True)
-    codes = {}
+    codes = json.loads(EXIT_CODES.read_text(encoding="utf-8")) if names else {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
+        for name in names or sorted(CASES):
             code, out = run_case(name, Path(tmp))
             (GOLDEN_DIR / f"{name}.out").write_bytes(out)
             codes[name] = code
@@ -118,6 +126,10 @@ def _record() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    flag, *names = sys.argv[1:] or [None]
+    if flag != "--record":
         sys.exit(__doc__)
-    _record()
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit("unknown cases: " + " ".join(unknown))
+    _record(names)
