@@ -17,9 +17,13 @@ Two computation routes produce identical dimensions:
   Over any cover of principal opens the nerve is a full simplex, so the
   constant functor is acyclic, and R decomposes into summands supported on
   the full subsimplices {centers inside h}, hence is acyclic with known
-  global sections.  ``oracle.block_complex_dims`` (the ranker shared with
-  the punctured-spectrum engine) ranks the small cokernel complex C, r0 is
-  the rank of the global sections of R in C^0, and
+  global sections.  Each block C(X) is presented on the summands of R(X)
+  off a basis of the normals of A_X (``_CokernelBlock``): at most
+  codim X dim S_{d-1} generators, and no constraint map but the whole
+  arrangement's is built.
+  ``oracle.block_complex_dims`` (the ranker shared with the
+  punctured-spectrum engine) ranks the small cokernel complex C, r0 is the
+  rank of the global sections of R in C^0, and
   ``oracle.exact_sequence_dims`` reads the dims h of Q off both; the first
   sequence gives
 
@@ -41,8 +45,14 @@ from itertools import combinations
 from .arrangement import Arrangement
 from .derivations import DerivationEngine, engine_for, inclusion_matrix
 from .lattice import IntersectionLattice
-from .linalg import Field, SubspaceReducer, sparse_rank
-from .monomials import dim_poly, multiplication_columns, poly_from_linear, poly_mul
+from .linalg import Field, RowReducer, SubspaceReducer, sparse_rank
+from .monomials import (
+    dim_poly,
+    monomial_tuples,
+    multiplication_columns,
+    poly_from_linear,
+    poly_mul,
+)
 from .oracle import (  # CapExceeded is re-exported for the CLI and the package
     DEFAULT_TUPLE_CAP,
     CapExceeded,
@@ -303,61 +313,130 @@ def cohomology_dims(c: CechComplex) -> dict[int, int]:
 # exact-sequence route for the derivation functor
 
 
+class _CokernelBlock:
+    """C(X)_d = coker(S_d^ell -> R(X)_d), R(X) the sum of S/(alpha_h) over the
+    members h of X, presented on the summands off a basis of the normals.
+
+    B is the first r = codim X members whose normals are independent, and
+    every other member has a_h = sum_k c_{h,k} a_{B_k}.  A derivation theta
+    enters only through g_k = theta(alpha_{B_k}), which ranges over all of
+    S_d^r, so the constraint image maps onto the basis summands, and C(X)_d
+    is R''/Im with R'' the sum of S_d/(alpha_h) over h off B and Im the image
+    of S_{d-1}^r under u -> (sum_k c_{h,k} alpha_{B_k} u_k mod alpha_h)_h.
+    That is S_{d-1} times the degree-1 images e_k = (c_{h,k} alpha_{B_k}
+    mod alpha_h)_h, so the e_k spanned by earlier ones add no generator.
+    An entry m on the summand of B_k equals -sum_h c_{h,k} (m mod alpha_h)
+    there.  At an independent flat (|X| = r) R'' is zero.
+    """
+
+    def __init__(self, engine: DerivationEngine, lattice: IntersectionLattice,
+                 flat: int, d: int):
+        self.engine, self.field, self.d = engine, engine.field, d
+        basis, coeffs = lattice.normal_basis(flat)
+        self.rest = tuple(coeffs)
+        self.layout = engine.row_layout(self.rest, d)
+        # B_k -> the pairs (h, c_{h,k}) with h off B and c_{h,k} != 0
+        self._deps = {b: [(h, c[k]) for h, c in coeffs.items() if k in c]
+                      for k, b in enumerate(basis)}
+        unit = (0,) * engine.ell
+        degree1 = engine.row_layout(self.rest, 1)
+        spanned = RowReducer(self.field)
+        gens = [self._image(self.layout, b, u)
+                for b in self._deps if spanned.add_row(self._image(degree1, b, unit))
+                for u in monomial_tuples(engine.ell, d - 1)]
+        self.quotient = SubspaceReducer(self.field, self.layout["total"], gens)
+        self._substituted: dict = {}
+
+    def _add_residue(self, vec: dict, layout: dict, h: int, mono: tuple, scalar) -> None:
+        """vec += scalar * (mono mod alpha_h) on the rows of the summand of h."""
+        f = self.field
+        off = layout["offsets"][h]
+        index = layout["row_index"][h]
+        for m, c in self.engine.reduce_monomial(h, mono).items():
+            r = off + index[m]
+            w = f.add(vec.get(r, f.zero), f.mul(scalar, c))
+            if w == 0:
+                vec.pop(r, None)
+            else:
+                vec[r] = w
+
+    def _image(self, layout: dict, b: int, u: tuple) -> dict:
+        """(c_{h,k} alpha_b u mod alpha_h)_h for b = B_k, in ``layout``."""
+        f = self.field
+        vec: dict = {}
+        for i, a in enumerate(self.engine.arr.normal(b)):
+            if a != 0:
+                xu = u[:i] + (u[i] + 1,) + u[i + 1:]
+                for h, c in self._deps[b]:
+                    self._add_residue(vec, layout, h, xu, f.mul(a, c))
+        return vec
+
+    def _substitute(self, b: int, idx: int) -> dict:
+        """The R'' vector equal in C(X) to the entry (b, idx) on a basis summand."""
+        key = (b, idx)
+        hit = self._substituted.get(key)
+        if hit is None:
+            m = self.engine.row_tuples(b, self.d)[idx]
+            hit = {}
+            for h, c in self._deps[b]:
+                self._add_residue(hit, self.layout, h, m, self.field.neg(c))
+            self._substituted[key] = hit
+        return hit
+
+    def map_into(self, values: dict) -> dict:
+        """Quotient coordinates of a family {(h, row_idx): value} of entries of
+        R; entries of hyperplanes not containing X are dropped."""
+        f = self.field
+        offsets = self.layout["offsets"]
+        vec: dict = {}
+        for (h, idx), v in values.items():
+            if h in self._deps:
+                for r, w in self._substitute(h, idx).items():
+                    vec[r] = f.add(vec.get(r, f.zero), f.mul(v, w))
+            elif h in offsets:
+                r = offsets[h] + idx
+                vec[r] = f.add(vec.get(r, f.zero), v)
+        return self.quotient.quotient_coords(vec)
+
+
 class _CokernelComplex:
-    """Cokernels C(J) = coker(S_d^ell -> sum_h S/(alpha_h)) over cover joins,
-    as the blocks ``block_complex_dims`` reads.  A block is spanned by the
-    lifts of its free quotient positions to single (h, row) entries of R; a
-    lift maps into C(J) by dropping the hyperplanes off J and reducing.
-    Blocks at independent flats are zero and never built; every other block
-    is echelonized once, and its dimension is read off that echelon form."""
+    """The cokernels C(J) over cover joins J at one degree, as the blocks
+    ``block_complex_dims`` reads.  Each is built once, as a
+    :class:`_CokernelBlock`, and spanned by the lifts of its free quotient
+    positions to single (h, row) entries of R; a lift of a face maps into
+    C(J) by dropping the hyperplanes off J and reducing."""
 
     def __init__(self, arr: Arrangement, lattice: IntersectionLattice, d: int):
-        self.arr = arr
         self.lattice = lattice
         self.d = d
         self.engine: DerivationEngine = engine_for(arr)
         self.field = arr.field
-        self._reducers: dict[int, tuple[SubspaceReducer, dict]] = {}
+        self._blocks: dict[int, _CokernelBlock] = {}
 
-    def _reducer(self, flat: int) -> tuple[SubspaceReducer, dict]:
-        hit = self._reducers.get(flat)
+    def _block(self, flat: int) -> _CokernelBlock:
+        hit = self._blocks.get(flat)
         if hit is None:
-            members = self.lattice.elements[flat].members
-            cols, layout = self.engine.constraint_columns(members, self.d)
-            hit = SubspaceReducer(self.field, layout["total"], cols), layout
-            self._reducers[flat] = hit
+            hit = _CokernelBlock(self.engine, self.lattice, flat, self.d)
+            self._blocks[flat] = hit
         return hit
-
-    def map_into(self, flat: int, block_values: dict) -> dict:
-        """Quotient coordinates at ``flat`` of a family {(h, row_idx): value};
-        blocks of hyperplanes not containing the flat are dropped."""
-        red, layout = self._reducer(flat)
-        vec = {}
-        for (h, idx), v in block_values.items():
-            off = layout["offsets"].get(h)
-            if off is not None:
-                vec[off + idx] = v
-        return red.quotient_coords(vec)
 
     def block(self, flat: int):
         """(dim, height, lifts, project) of C(flat), None when it is zero.
 
-        A flat with as many members as its codimension is independent: its
-        forms are coordinates x_h in a suitable basis, so f d/dx_h maps onto
-        f in the summand of h, and C(flat) is zero without any elimination.
+        C(flat) is zero at an independent flat (as many members as its
+        codimension), which is answered before any block is built.
         """
         element = self.lattice.elements[flat]
-        members = element.members
-        if len(members) == element.codim:
+        if len(element.members) == element.codim:
             return None
-        red, layout = self._reducer(flat)
-        dim = red.quotient_dim
+        blk = self._block(flat)
+        dim = blk.quotient.quotient_dim
         if not dim:
             return None
-        size = layout["block_dim"]
-        lifts = [{(members[pos // size], pos % size): self.field.one}
-                 for pos in red.free_positions]
-        return dim, dim, lifts, lambda vec: self.map_into(flat, vec)
+        size = blk.layout["block_dim"]
+        lifts = [{(blk.rest[pos // size], pos % size): self.field.one}
+                 for pos in blk.quotient.free_positions]
+        return dim, dim, lifts, blk.map_into
 
 
 def _derivation_dims_via_sequences(
@@ -379,18 +458,22 @@ def _derivation_dims_via_sequences(
     cok = _CokernelComplex(arr, lattice, d)
     c_dims = block_complex_dims(field, cover.centers, lattice.meet_many, cok.block,
                                 n_max - 2)
-    # r0: the rank in C^0 of the global sections of R, one lift per (h, row)
+    # r0: the rank in C^0 of the global sections of R, one lift per (h, row);
+    # the lift of (h, row) reaches the blocks of the centers containing h
     block = dim_poly(arr.ell - 1, d)
-    level0 = [b for b in map(cok.block, cover.centers) if b is not None]
-    columns = []
-    for lift in ({(h, idx): field.one} for h in range(arr.size) for idx in range(block)):
-        col: dict = {}
-        off = 0
-        for _dim, height, _lifts, project in level0:
-            col.update((off + i, v) for i, v in project(lift).items())
-            off += height
-        columns.append(col)
-    r0 = sparse_rank(field, columns)
+    columns: dict = {}
+    off = 0
+    for center in cover.centers:
+        b = cok.block(center)
+        if b is None:
+            continue
+        _dim, height, _lifts, project = b
+        for h in lattice.elements[center].members:
+            for idx in range(block):
+                col = columns.setdefault((h, idx), {})
+                col.update((off + i, v) for i, v in project({(h, idx): field.one}).items())
+        off += height
+    r0 = sparse_rank(field, columns.values())
     q_dims = exact_sequence_dims(arr.size * block, r0, c_dims, n_max - 1)
     out[1] = q_dims[0] - arr.ell * dim_poly(arr.ell, d) + dim_d_top
     if out[1] < 0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .arrangement import Arrangement, ArrangementError, members_of
 from .linalg import (
@@ -39,6 +40,7 @@ class FunctorError(RuntimeError):
     """An exact inclusion/restriction failed to hold; indicates a bug."""
 
 
+@lru_cache(maxsize=None)
 def reduced_row_tuples(ell: int, degree: int, pivot: int) -> tuple:
     """Monomials of the given degree with zero exponent at the pivot variable."""
     out = []
@@ -109,14 +111,17 @@ class DerivationEngine:
 
     # -- stacked constraint matrix -------------------------------------------
 
+    def row_tuples(self, h: int, d: int) -> tuple:
+        """The monomials indexing the rows of S_d/(alpha_h), in row order."""
+        return reduced_row_tuples(self.ell, d, self._pivot[h])
+
     def row_layout(self, members: tuple[int, ...], d: int) -> dict:
         """Row indexing of the target space: one block per member form."""
         block = dim_poly(self.ell - 1, d)
         layout = {"block_dim": block, "offsets": {}, "row_index": {}}
         for pos, h in enumerate(members):
             layout["offsets"][h] = pos * block
-            tuples = reduced_row_tuples(self.ell, d, self._pivot[h])
-            layout["row_index"][h] = {m: i for i, m in enumerate(tuples)}
+            layout["row_index"][h] = {m: i for i, m in enumerate(self.row_tuples(h, d))}
         layout["total"] = block * len(members)
         return layout
 
@@ -277,11 +282,12 @@ def multiply_vector(arr: Arrangement, vec: dict, poly: dict, d_from: int) -> dic
     src = basis(ell, d_from)
     deg = max(sum(m) for m in poly) if poly else 0
     dst = basis(ell, d_from + deg)
+    n_src, n_dst, index = len(src), len(dst), dst.index
     out: dict = {}
     for j, c in vec.items():
-        i, m = j // len(src), src.tuples[j % len(src)]
+        i, m = j // n_src, src.tuples[j % n_src]
         for mp, cp in poly.items():
-            key = i * len(dst) + dst.index[mono_mul(m, mp)]
+            key = i * n_dst + index[mono_mul(m, mp)]
             w = f.add(out.get(key, f.zero), f.mul(c, cp))
             if w == 0:
                 out.pop(key, None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .arrangement import Arrangement, ArrangementError
-from .linalg import RowReducer, sparse_rref
+from .linalg import ColumnSpace, RowReducer, sparse_rref
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,7 @@ class IntersectionLattice:
             raise ArrangementError("lattice has no top of full codimension")
         self.mobius: tuple[int, ...] = self._compute_mobius()
         self.meet_table = self._compute_meet_table()
+        self._normal_bases: dict[int, tuple] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -139,6 +140,29 @@ class IntersectionLattice:
         if out is None:
             raise ValueError("empty meet")
         return out
+
+    def normal_basis(self, flat: int) -> tuple[tuple[int, ...], dict[int, dict]]:
+        """(B, c) for a flat: B the first codim members, in member order, whose
+        normals are independent, and c[h] = {k: c_hk} with
+        a_h = sum_k c_hk a_{B_k} for every other member h, in member order."""
+        hit = self._normal_bases.get(flat)
+        if hit is None:
+            arr = self.arrangement
+            basis: list[int] = []
+            coeffs: dict[int, dict] = {}
+            normals: list[dict] = []
+            span = None
+            for h in self.elements[flat].members:
+                normal = {j: c for j, c in enumerate(arr.normal(h)) if c != 0}
+                c = None if span is None else span.coordinates(normal)
+                if c is None:
+                    basis.append(h)
+                    normals.append(normal)
+                    span = ColumnSpace(arr.field, normals, arr.ell)
+                else:
+                    coeffs[h] = c
+            hit = self._normal_bases[flat] = (tuple(basis), coeffs)
+        return hit
 
     @property
     def bottom_index(self) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from .linalg import Field
 
@@ -53,7 +54,7 @@ def dim_poly(ell: int, degree: int) -> int:
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def poly_from_linear(normal, ell: int) -> dict:

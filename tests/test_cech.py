@@ -19,8 +19,10 @@ from arrsheaf.cech import (
     minimal_cover,
     validate_cover,
 )
+from arrsheaf import derivations
 from arrsheaf.derivations import derivation_space, engine_for
 from arrsheaf.lattice import build_lattice
+from arrsheaf.linalg import sparse_rank
 from arrsheaf.monomials import dim_poly
 from arrsheaf.oracle import _truncated_engine
 
@@ -280,15 +282,22 @@ def test_cokernel_blocks_skip_only_zero_ranks(source, field, arrangement_over):
     """Blocks at independent flats (as many members as codimension) are
     skipped unbuilt.  There the eliminated constraint rank is full, and at
     every flat the block has dimension |X| dim_poly(ell-1, d) minus that
-    rank, or is None when this is 0."""
+    rank, or is None when this is 0.
+
+    The block's ``map_into`` presents C(X) exactly: every constraint column
+    maps to zero, so the image lies in its kernel, and the unit entries of R
+    map onto a space of the block's dimension, so the kernel is no larger.
+    """
     arr = arrangement_over(source, field)
     lat = build_lattice(arr)
     eng = engine_for(arr)
+    one = arr.field.one
     for d in range(4):
         cok = _CokernelComplex(arr, lat, d)
+        size = dim_poly(arr.ell - 1, d)
         for flat, element in enumerate(lat.elements):
             members = element.members
-            full = len(members) * dim_poly(arr.ell - 1, d)
+            full = len(members) * size
             rank = eng.constraint_rank(members, d)
             if len(members) == element.codim:
                 assert rank == full, (flat, d)
@@ -296,3 +305,29 @@ def test_cokernel_blocks_skip_only_zero_ranks(source, field, arrangement_over):
             got = None if block is None else (block[0], block[1], len(block[2]))
             dim = full - rank
             assert got == (None if dim == 0 else (dim, dim, dim)), (flat, d)
+            map_into = cok._block(flat).map_into
+            cols, _layout = eng.constraint_columns(members, d)
+            for col in cols:
+                entries = {(members[r // size], r % size): v for r, v in col.items()}
+                assert not map_into(entries), (flat, d)
+            units = [map_into({(h, idx): one}) for h in members for idx in range(size)]
+            assert sparse_rank(arr.field, units) == dim, (flat, d)
+
+
+def test_derivation_table_builds_constraint_columns_only_at_the_top(monkeypatch):
+    """The D table eliminates the constraint map of the whole arrangement
+    (for dim D(A)_d) and no other: the cokernel blocks never build one."""
+    arr = catalog("braid", 4)
+    lat = build_lattice(arr)
+    monkeypatch.setattr(derivations, "_engines", {})
+    eng = engine_for(arr)
+    built = set()
+    columns = eng.constraint_columns
+
+    def spy(members, d):
+        built.add(members)
+        return columns(members, d)
+
+    monkeypatch.setattr(eng, "constraint_columns", spy)
+    lattice_cohomology_table(arr, lat, "D", (0, 3))
+    assert built == {tuple(range(arr.size))}

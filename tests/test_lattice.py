@@ -170,3 +170,27 @@ def test_lattice_json_shape(boolean2, boolean2_lattice):
     assert payload["elements"][0] == {"codim": 0, "members": []}
     assert payload["mobius"] == [1, -1, -1, 1]
     assert payload["characteristic_polynomial"] == [1, -2, 1]
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp 2147483647"])
+@pytest.mark.parametrize(
+    "source", [("braid", 4), ("generic", 3, 4), "nonfree-4-7"],
+    ids=["braid-4", "generic-3-4", "nonfree-4-7"])
+def test_normal_basis_is_first_independent_members(source, field, arrangement_over):
+    """B has codim members; every other member is, in member order, a
+    combination of the members of B before it, with the returned
+    coefficients.  So B is the first codim members with independent normals."""
+    arr = arrangement_over(source, field)
+    f = arr.field
+    lat = build_lattice(arr)
+    for flat, element in enumerate(lat.elements):
+        basis, coeffs = lat.normal_basis(flat)
+        assert len(basis) == element.codim
+        assert tuple(coeffs) == tuple(h for h in element.members if h not in basis)
+        for h, c in coeffs.items():
+            assert all(basis[k] < h for k in c), (flat, h)
+            combo = [f.zero] * arr.ell
+            for k, ck in c.items():
+                for i, a in enumerate(arr.normal(basis[k])):
+                    combo[i] = f.add(combo[i], f.mul(ck, a))
+            assert tuple(combo) == tuple(arr.normal(h)), (flat, h)
