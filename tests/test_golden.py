@@ -85,6 +85,12 @@ CASES = {
         ("boolean", 3),
         ["cohomology", "{f}", "--functor", "O", "--cover", "full",
          "--window", "-4:1", "--kmax", "3"]),
+    # D on the minimal flat cover: H^1 at d = 0, an H^2 cell stable at K = 2
+    "oracle-arrangement-generic34": (
+        ("generic", 3, 4),
+        ["oracle", "{f}", "--cover", "arrangement", "--window", "-2:2", "--kmax", "4"]),
+    # D on the coordinate cover at ell = 4
+    "oracle-braid4": (("braid", 4), ["oracle", "{f}", "--window", "0:1", "--kmax", "4"]),
 }
 
 
