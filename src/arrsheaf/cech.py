@@ -22,8 +22,8 @@ Two computation routes produce identical dimensions:
   codim X dim S_{d-1} generators, and no constraint map but the whole
   arrangement's is built.
   ``oracle.block_complex_dims`` (the ranker shared with the
-  punctured-spectrum engine) ranks the small cokernel complex C, r0 is the
-  rank of the global sections of R in C^0, and
+  punctured-spectrum engine) ranks the small cokernel complex C, each block
+  lifted on a basis, r0 is the rank of the global sections of R in C^0, and
   ``oracle.exact_sequence_dims`` reads the dims h of Q off both; the first
   sequence gives
 
@@ -402,8 +402,8 @@ class _CokernelBlock:
 class _CokernelComplex:
     """The cokernels C(J) over cover joins J at one degree, as the blocks
     ``block_complex_dims`` reads.  Each is built once, as a
-    :class:`_CokernelBlock`, and spanned by the lifts of its free quotient
-    positions to single (h, row) entries of R; a lift of a face maps into
+    :class:`_CokernelBlock`, and has a basis of lifts: its free quotient
+    positions as single (h, row) entries of R.  A lift of a face maps into
     C(J) by dropping the hyperplanes off J and reducing."""
 
     def __init__(self, arr: Arrangement, lattice: IntersectionLattice, d: int):
@@ -421,7 +421,7 @@ class _CokernelComplex:
         return hit
 
     def block(self, flat: int):
-        """(dim, height, lifts, project) of C(flat), None when it is zero.
+        """(lifts, project) of C(flat), None when it is zero.
 
         C(flat) is zero at an independent flat (as many members as its
         codimension), which is answered before any block is built.
@@ -430,13 +430,12 @@ class _CokernelComplex:
         if len(element.members) == element.codim:
             return None
         blk = self._block(flat)
-        dim = blk.quotient.quotient_dim
-        if not dim:
+        if not blk.quotient.quotient_dim:
             return None
         size = blk.layout["block_dim"]
         lifts = [{(blk.rest[pos // size], pos % size): self.field.one}
                  for pos in blk.quotient.free_positions]
-        return dim, dim, lifts, blk.map_into
+        return lifts, blk.map_into
 
 
 def _derivation_dims_via_sequences(
@@ -467,12 +466,12 @@ def _derivation_dims_via_sequences(
         b = cok.block(center)
         if b is None:
             continue
-        _dim, height, _lifts, project = b
+        lifts, project = b
         for h in lattice.elements[center].members:
             for idx in range(block):
                 col = columns.setdefault((h, idx), {})
                 col.update((off + i, v) for i, v in project({(h, idx): field.one}).items())
-        off += height
+        off += len(lifts)
     r0 = sparse_rank(field, columns.values())
     q_dims = exact_sequence_dims(arr.size * block, r0, c_dims, n_max - 1)
     out[1] = q_dims[0] - arr.ell * dim_poly(arr.ell, d) + dim_d_top

@@ -19,10 +19,11 @@ from functools import lru_cache
 from .arrangement import Arrangement, ArrangementError, members_of
 from .linalg import (
     ColumnSpace,
-    RowReducer,
     _fill_reducing,
     _integerized,
+    _reducer,
     sparse_kernel_basis,
+    sparse_pivots,
     sparse_rank,
 )
 from .monomials import (
@@ -50,7 +51,7 @@ def reduced_row_tuples(ell: int, degree: int, pivot: int) -> tuple:
 
 
 class DerivationEngine:
-    """Per-arrangement cache of constraint matrices, ranks and kernel bases."""
+    """Per-arrangement cache of constraint matrices, eliminations and kernel bases."""
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
@@ -61,6 +62,7 @@ class DerivationEngine:
         self._columns: dict = {}
         self._rows: dict = {}
         self._rank: dict = {}
+        self._coordinates: dict = {}
         self._basis: dict = {}
         for h in range(arr.size):
             normal = arr.normal(h)
@@ -179,6 +181,21 @@ class DerivationEngine:
         if hit is None:
             hit = sparse_rank(self.field, self.constraint_rows(members, d))
             self._rank[key] = hit
+        return hit
+
+    def space_coordinates(self, members: tuple[int, ...], d: int) -> dict[int, int]:
+        """Coordinates of D(A_members)_d: the positions of S_d^ell off the
+        pivots of the constraint elimination (which also gives the rank),
+        each mapped to its index among them.  A kernel vector is determined
+        by its entries there, so restricting to them is an isomorphism."""
+        key = (members, d)
+        hit = self._coordinates.get(key)
+        if hit is None:
+            pivots = sparse_pivots(self.field, self.constraint_rows(members, d))
+            self._rank[key] = len(pivots)
+            free = (j for j in range(self.ambient_dim(d)) if j not in pivots)
+            hit = {j: i for i, j in enumerate(free)}
+            self._coordinates[key] = hit
         return hit
 
     # -- the graded pieces -----------------------------------------------------
@@ -428,9 +445,7 @@ def minimal_generators(arr: Arrangement, up_to_degree: int) -> list[tuple[int, d
         # generators (basis vectors are nonzero, so none of cur is dropped)
         rows, _ = _fill_reducing(shifted + cur)
         split = len(rows) - len(cur)
-        red = RowReducer(f)
-        for row in sorted(rows[:split], key=len):
-            red.add_row(row)
+        red = _reducer(f, sorted(rows[:split], key=len))
         before = len(gens)
         for v, row in zip(cur, rows[split:]):
             if red.add_row(row):

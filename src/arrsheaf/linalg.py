@@ -16,11 +16,12 @@ coordinates (:class:`SubspaceReducer`) and span coordinates
 (:class:`ColumnSpace`).
 
 ``RowReducer`` pivots on a row's first nonzero column.  Jobs that read only a
-rank, a span or membership first renumber the columns into a fill-reducing
-order (:func:`_fill_reducing`: fewest nonzeros first, cf. Markowitz 1957),
-which keeps the stored rows sparse: :func:`sparse_rank`,
-:class:`SubspaceReducer`, whose free positions index some complement of V,
-and the membership tests of the freeness certificate's generator scan.
+rank, a span, membership or some set of kernel coordinates first renumber
+the columns into a fill-reducing order (:func:`_fill_reducing`: fewest
+nonzeros first, cf. Markowitz 1957), which keeps the stored rows sparse:
+:func:`sparse_pivots` and :func:`sparse_rank`, :class:`SubspaceReducer`,
+whose free positions index some complement of V, and the membership tests
+of the freeness certificate's generator scan.
 Jobs whose output depends on the order keep the natural column order:
 :func:`sparse_rref`, :func:`sparse_kernel_basis` and :class:`ColumnSpace`.
 Both orders are fixed functions of the input, so every result is
@@ -334,12 +335,18 @@ def _fill_reducing(rows: Iterable[dict]) -> tuple[list[dict], list[int]]:
     return [{new[j]: v for j, v in row.items()} for row in rows], labels
 
 
-def sparse_rank(field: Field, rows: Iterable[dict]) -> int:
-    """Rank of the rows, eliminated shortest row first in a fill-reducing
-    column order."""
-    rows, _ = _fill_reducing(rows)
+def sparse_pivots(field: Field, rows: Iterable[dict]) -> set[int]:
+    """Pivot columns of the rows, eliminated shortest row first in a
+    fill-reducing column order.  They carry an invertible triangular block,
+    so a kernel vector is determined by its entries off them."""
+    rows, labels = _fill_reducing(rows)
     rows.sort(key=len)
-    return _reducer(field, rows).rank
+    return {labels[j] for j in _reducer(field, rows).pivot_rows}
+
+
+def sparse_rank(field: Field, rows: Iterable[dict]) -> int:
+    """Rank of the rows: the number of their :func:`sparse_pivots`."""
+    return len(sparse_pivots(field, rows))
 
 
 def sparse_rref(field: Field, rows: Iterable[dict]) -> tuple[list[dict], list[int]]:

@@ -5,13 +5,12 @@ fixed denominator power; at truncation level K every tuple space embeds into
 the common space W = M_{d + K q} (q the degree of the product of all
 denominators) by multiplying with the complementary cofactor.  Restrictions
 become literal inclusions of subspaces V_T of W, so the Cech complex at level
-K is the complex of sections V_T, and also the kernel of the constant functor
-W onto the quotient functor W / V_T.  ``block_complex_dims`` ranks every Cech
-complex of the package, given block by block: the sections V_T on the
-coordinate cover, the quotients W / V_T on the flat covers, and the cokernel
-complex of the lattice side (``cech``).  ``exact_sequence_dims`` states the
-long exact sequence that turns the dims of a quotient complex into those of
-its kernel.
+K is the kernel of the constant functor W onto the quotient functor W / V_T.
+Every cover ranks those quotients in the coordinates of W, through
+``block_complex_dims``, which ranks every Cech complex of the package (the
+cokernel complex of the lattice side, ``cech``, too) given a basis of lifts
+per block; ``exact_sequence_dims`` turns the dims of a quotient complex into
+those of its kernel.
 
 True cohomology is the direct limit over K; dimensions are reported at the
 first K starting a run of three equal levels (vacuous truncations with an
@@ -34,7 +33,7 @@ from math import comb
 from .arrangement import Arrangement, FormProduct, cofactor_forms
 from .derivations import engine_for, multiply_vector
 from .lattice import IntersectionLattice
-from .linalg import RowReducer, SubspaceReducer, sparse_rank
+from .linalg import SubspaceReducer, _reducer, sparse_rank
 from .monomials import dim_poly, poly_from_linear, poly_pow, poly_product
 
 
@@ -62,11 +61,11 @@ def block_complex_dims(field, centers, join, block, n_max: int) -> dict[int, int
     simplex: h^n = dim C^n - rank delta^n - rank delta^{n-1}.
 
     ``join`` maps a tuple of centers to the key of its intersection.
-    ``block(key)`` is None when C(key) = 0 and otherwise (dim, height, lifts,
-    project): dim C(key); the number of coordinates ``project`` returns;
-    vectors whose images span C(key); and the map taking a lift of a face of
-    the key to its coordinates in C(key).  The tuples of the cover are
-    counted against ``DEFAULT_TUPLE_CAP`` before any is built.
+    ``block(key)`` is None when C(key) = 0 and otherwise (lifts, project):
+    vectors whose images form a basis of C(key), and the map taking a lift
+    of a face of the key to its coordinates on some basis of C(key).  The
+    tuples of the cover are counted against ``DEFAULT_TUPLE_CAP`` before any
+    is built.
     """
     n_levels = n_max + 2  # delta^{n_max} reaches level n_max + 1
     _check_tuple_cap(len(centers), n_levels, DEFAULT_TUPLE_CAP)
@@ -86,13 +85,13 @@ def block_complex_dims(field, centers, join, block, n_max: int) -> dict[int, int
     for src, dst in zip(levels, levels[1:]):
         faces = {}
         col_off = 0
-        for t, (_dim, _height, lifts, _project) in src:
+        for t, (lifts, _project) in src:
             faces[t] = (col_off, lifts)
             col_off += len(lifts)
-        # a face sits in a tuple in one way only, so no entry is hit twice
-        rows: list[dict] = [dict() for _ in range(sum(b[1] for _t, b in dst))]
-        row_off = 0
-        for t, (_dim, height, _lifts, project) in dst:
+        rows: list[dict] = []
+        for t, (basis, project) in dst:
+            # a face sits in a tuple in one way only, so no entry is hit twice
+            block_rows: list[dict] = [{} for _ in basis]
             for k in range(len(t)):
                 face = faces.get(t[:k] + t[k + 1 :])
                 if face is None:
@@ -100,14 +99,14 @@ def block_complex_dims(field, centers, join, block, n_max: int) -> dict[int, int
                 c_off, lifts = face
                 for j, lift in enumerate(lifts):
                     for i, v in project(lift).items():
-                        rows[row_off + i][c_off + j] = v if k % 2 == 0 else field.neg(v)
-            row_off += height
+                        block_rows[i][c_off + j] = v if k % 2 == 0 else field.neg(v)
+            rows += block_rows
         ranks.append(sparse_rank(field, rows))
     ranks.append(0)
 
     out = {n: 0 for n in range(n_max + 1)}
     for n, entries in enumerate(levels[: n_max + 1]):
-        out[n] = sum(b[0] for _t, b in entries) - ranks[n + 1] - ranks[n]
+        out[n] = sum(len(b[0]) for _t, b in entries) - ranks[n + 1] - ranks[n]
     if any(v < 0 for v in out.values()):
         raise RuntimeError("negative cohomology dimension; exactness bug")
     return out
@@ -192,18 +191,19 @@ class _FlatCover:
 
 
 class _StructurePieces:
-    """Graded pieces of S itself: ambient = monomial coordinates."""
+    """Graded pieces of S itself; the monomials are its coordinates."""
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
 
-    def ambient_dim(self, t: int) -> int:
+    def module_dim(self, t: int) -> int:
         return dim_poly(self.arr.ell, t)
-
-    module_dim = ambient_dim
 
     def module_basis(self, t: int) -> list[dict]:
         return [{i: self.arr.field.one} for i in range(dim_poly(self.arr.ell, t))]
+
+    def in_coordinates(self, t: int, vectors: list[dict]) -> list[dict]:
+        return vectors
 
 
 class _DerivationPieces:
@@ -214,14 +214,16 @@ class _DerivationPieces:
         self.engine = engine_for(arr)
         self.all_members = tuple(range(arr.size))
 
-    def ambient_dim(self, t: int) -> int:
-        return self.engine.ambient_dim(t)
-
     def module_dim(self, t: int) -> int:
-        return self.engine.space_dim(self.all_members, t)
+        return len(self.engine.space_coordinates(self.all_members, t))
 
     def module_basis(self, t: int) -> list[dict]:
         return self.engine.space_basis(self.all_members, t)
+
+    def in_coordinates(self, t: int, vectors: list[dict]) -> list[dict]:
+        """Vectors of D(A)_t on its coordinates (``space_coordinates``)."""
+        index = self.engine.space_coordinates(self.all_members, t)
+        return [{index[j]: v for j, v in vec.items() if j in index} for vec in vectors]
 
 
 # ---------------------------------------------------------------------------
@@ -255,70 +257,52 @@ class TruncatedEngine:
         return hit
 
     def tuple_space(self, key, num_degree: int, amb_degree: int) -> list[dict]:
-        """Spanning vectors c^K b of V_key inside W, b over a basis of the
-        numerator piece; empty when ``num_degree`` is negative."""
+        """Spanning vectors c^K b of V_key in the coordinates of W, b over a
+        basis of the numerator piece; empty when ``num_degree`` is negative."""
         # a method of its own, so a profiler (perfbench/tracer.py) can time it
         if num_degree < 0:
             return []
         power = self.cofactor_power(key, amb_degree - num_degree)
-        return [multiply_vector(self.arr, b, power, num_degree)
-                for b in self.pieces.module_basis(num_degree)]
+        return self.pieces.in_coordinates(
+            amb_degree, [multiply_vector(self.arr, b, power, num_degree)
+                         for b in self.pieces.module_basis(num_degree)])
 
     def dims_at(self, d: int, k: int, n_max: int) -> dict[int, int]:
         """H^0 .. H^{n_max} of the level-k truncated complex in degree d.
 
         Its term over a tuple T is V_T = c_T^k M_{d + k deg}, embedded in the
         common space W = M_{d + k q} by the cofactor power c_T^k; its maps
-        are inclusions.  The coordinate cover ranks this complex of sections
-        directly.  The flat covers rank the quotients C(T) = W / V_T and read
-        the dims off the long exact sequence of 0 -> V -> W -> C -> 0 with
-        r0 = rank(W -> C^0) = dim W - dim M_d: each flat cover covers the
-        punctured spectrum U, and M (S or D(A)) is reflexive with ell >= 2,
-        so Gamma(U, M~)_d = M_d.  The level-k complex is a subcomplex of the
+        are inclusions.  Every cover ranks the quotients C(T) = W / V_T, in
+        the coordinates of W, and reads the dims off the long exact sequence
+        of 0 -> V -> W -> C -> 0 with r0 = rank(W -> C^0) = dim W - dim M_d:
+        the coordinate charts and the opens U(X) each cover the punctured
+        spectrum U, and M (S or D(A)) is reflexive with ell >= 2, so
+        Gamma(U, M~)_d = M_d.  The level-k complex is a subcomplex of the
         localized Cech complex, so its H^0 lies inside c^k M_d, where c is
         the product of all denominators; and c^k M_d lies in every V_T, so
         H^0 = c^k M_d has dimension dim M_d (0 for d < 0).  A wrong r0 would
         show up as a negative dimension, which ``exact_sequence_dims``
-        raises, or in h^1."""
+        raises, or in h^1.  Tuples with V_T = W drop out of C, as do, on the
+        flat covers, all that meet in the bottom flat."""
         cover, pieces = self.cover, self.pieces
         amb_degree = d + k * cover.full_degree
         w_dim = pieces.module_dim(amb_degree)
         if w_dim == 0:
             return {n: 0 for n in range(n_max + 1)}
-        amb_dim = pieces.ambient_dim(amb_degree)
-
-        def section(key):
-            num_degree = d + k * cover.multiplier_degree(key)
-            dim = pieces.module_dim(num_degree)
-            if not dim:
-                return None
-            return dim, amb_dim, self.tuple_space(key, num_degree, amb_degree), _identity
-
-        if isinstance(cover, _CoordCover):
-            return block_complex_dims(self.field, cover.center_keys, cover.join,
-                                      section, n_max)
-
-        # flat covers take the quotient route: most tuples join to the bottom
-        # flat, where V_T = W and the quotient drops them (sections: 5-180x slower)
-        w_vectors = pieces.module_basis(amb_degree)
+        units = [{i: self.field.one} for i in range(w_dim)]  # shared by all blocks
 
         def quotient(key):
             num_degree = d + k * cover.multiplier_degree(key)
-            dim = w_dim - pieces.module_dim(num_degree)
-            if not dim:
+            if pieces.module_dim(num_degree) == w_dim:
                 return None
-            red = SubspaceReducer(self.field, amb_dim,
+            red = SubspaceReducer(self.field, w_dim,
                                   self.tuple_space(key, num_degree, amb_degree))
-            return dim, red.quotient_dim, w_vectors, red.quotient_coords
+            return [units[i] for i in red.free_positions], red.quotient_coords
 
         quotient_dims = block_complex_dims(self.field, cover.center_keys, cover.join,
                                            quotient, n_max - 1)
         return exact_sequence_dims(w_dim, w_dim - pieces.module_dim(d),
                                    quotient_dims, n_max)
-
-
-def _identity(vec: dict) -> dict:
-    return vec
 
 
 def _truncated_engine(arr: Arrangement, module: str, cover: str,
@@ -575,18 +559,13 @@ def localization_identity_check(
     side_y = eng.space_basis(tuple(sorted(y_members)), t)
     side_meet = eng.space_basis(tuple(sorted(meet_members)), t)
 
-    meet_red = RowReducer(f)
-    for v in side_meet:
-        meet_red.add_row(v)
-    forward = all(meet_red.contains(v) for v in side_y)
+    forward = all(map(_reducer(f, side_meet).contains, side_y))
 
     q_poly = poly_product(
         f, (poly_from_linear(arr.normal(h), arr.ell) for h in multiplier.factors), arr.ell
     )
     next_y = eng.space_basis(tuple(sorted(y_members)), t + multiplier.degree)
-    y_next_red = RowReducer(f)
-    for v in next_y:
-        y_next_red.add_row(v)
+    y_next_red = _reducer(f, next_y)
     backward = all(
         y_next_red.contains(multiply_vector(arr, v, q_poly, t)) for v in side_meet
     )

@@ -67,8 +67,8 @@ def test_rank_and_kernel_reach_hooked_add_row(monkeypatch, characteristic):
 @pytest.mark.parametrize("cover", ["coords", "flats"])
 def test_dims_at_builds_blocks_through_tuple_space(monkeypatch, boolean3, cover):
     # the tracer times V_T spanning sets through TruncatedEngine.tuple_space,
-    # so both the sections route (coordinate cover) and the quotient route
-    # (flat covers) must build them through it
+    # so dims_at must build them through it on the coordinate cover and on
+    # the flat covers alike
     from arrsheaf import build_lattice, oracle
 
     seen = []

@@ -282,7 +282,8 @@ def test_cokernel_blocks_skip_only_zero_ranks(source, field, arrangement_over):
     """Blocks at independent flats (as many members as codimension) are
     skipped unbuilt.  There the eliminated constraint rank is full, and at
     every flat the block has dimension |X| dim_poly(ell-1, d) minus that
-    rank, or is None when this is 0.
+    rank, or is None when this is 0.  A block is (lifts, project) with the
+    lifts a basis, so there are that many lifts and they project onto it.
 
     The block's ``map_into`` presents C(X) exactly: every constraint column
     maps to zero, so the image lies in its kernel, and the unit entries of R
@@ -302,10 +303,13 @@ def test_cokernel_blocks_skip_only_zero_ranks(source, field, arrangement_over):
             if len(members) == element.codim:
                 assert rank == full, (flat, d)
             block = cok.block(flat)
-            got = None if block is None else (block[0], block[1], len(block[2]))
             dim = full - rank
-            assert got == (None if dim == 0 else (dim, dim, dim)), (flat, d)
+            assert (block is None) == (dim == 0), (flat, d)
             map_into = cok._block(flat).map_into
+            if block is not None:
+                lifts, project = block
+                assert len(lifts) == dim, (flat, d)
+                assert sparse_rank(arr.field, map(project, lifts)) == dim, (flat, d)
             cols, _layout = eng.constraint_columns(members, d)
             for col in cols:
                 entries = {(members[r // size], r % size): v for r, v in col.items()}

@@ -364,3 +364,23 @@ def test_multiply_vector_shifts_degrees(boolean2):
 def test_near_pencil4_certificate():
     cert = freeness_certificate(catalog("near-pencil", 4))
     assert cert.status == "free" and cert.exponents == (1, 1, 2)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp 2147483647"])
+@pytest.mark.parametrize(
+    "source", [("braid", 3), ("generic", 3, 4), "nonfree-4-7"],
+    ids=["braid-3", "generic-3-4", "nonfree-4-7"])
+def test_space_coordinates_are_coordinates_of_the_module(source, field, arrangement_over):
+    """The positions off the pivots of the constraint elimination are
+    coordinates of D(A)_t: there are dim D(A)_t of them, and the kernel
+    basis restricted to them has full rank, so restriction is an
+    isomorphism of D(A)_t onto K^{dim}."""
+    arr = arrangement_over(source, field)
+    eng = engine_for(arr)
+    members = tuple(range(arr.size))
+    for t in range(7):
+        coords = eng.space_coordinates(members, t)
+        basis = eng.space_basis(members, t)
+        assert sorted(coords.values()) == list(range(len(basis))), t
+        restricted = [{coords[j]: v for j, v in b.items() if j in coords} for b in basis]
+        assert sparse_rank(arr.field, restricted) == len(basis), t

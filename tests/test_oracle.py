@@ -216,9 +216,9 @@ _PINNED = {
     "source", list(_PINNED),
     ids=["braid-3", "generic-3-4", "boolean-3", "braid-4", "nonfree-4-7"])
 def test_known_global_rank_equals_elimination(source, field, arrangement_over):
-    """The sections route (coordinate cover) and the quotient route with the
-    known r0 (flat covers) reproduce the pinned dims of the quotient route
-    with r0 eliminated."""
+    """The quotient route with the known r0, on the coordinate cover and on
+    the flat covers, reproduces the pinned dims of the quotient route with
+    r0 eliminated."""
     arr = arrangement_over(source, field)
     lat = build_lattice(arr)
     centers = {"coords": None, "minimal": lat.l0_minimal_indices(),
@@ -229,3 +229,29 @@ def test_known_global_rank_equals_elimination(source, field, arrangement_over):
         got = {(d, k): eng.dims_at(d, k, arr.ell - 1) for d, k in cells}
         assert got == {cell: dict(enumerate(dims)) for cell, dims in cells.items()}, (
             module, cover)
+
+
+@pytest.mark.parametrize("cover", ["coords", "flats"])
+def test_dims_at_never_builds_the_ambient_basis(monkeypatch, cover):
+    """dims_at writes each V_T in the coordinates of W = M_{d+Kq} and lifts
+    its blocks on unit vectors there, so no basis of W itself (a kernel
+    basis at d + Kq) is built: only the numerator pieces below it."""
+    from arrsheaf import derivations
+
+    arr = catalog("braid", 3)
+    lat = build_lattice(arr)
+    monkeypatch.setattr(derivations, "_engines", {})
+    eng = _truncated_engine(arr, "D", cover, lat, lat.l0_minimal_indices())
+    asked = []
+    space_basis = eng.pieces.engine.space_basis
+
+    def spy(members, t):
+        asked.append(t)
+        return space_basis(members, t)
+
+    monkeypatch.setattr(eng.pieces.engine, "space_basis", spy)
+    q = eng.cover.full_degree
+    for d, k in [(0, 1), (1, 1), (-1, 2)]:
+        eng.dims_at(d, k, arr.ell - 1)
+        assert asked and d + k * q not in asked, (d, k, asked)
+        asked.clear()
