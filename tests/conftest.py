@@ -8,19 +8,22 @@ _NONFREE_4_7 = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 1),
                 (1, 0, 0, 0), (1, 1, -1, 1), (1, 2, 0, 0)]
 
 
+def build_arrangement(source, field):
+    """The catalog entry ``source`` (the arguments of ``catalog``) or
+    ``"nonfree-4-7"``, over ``field``."""
+    if source == "nonfree-4-7":
+        normals = _NONFREE_4_7
+    else:
+        cat = catalog(*source)
+        normals = [cat.normal(h) for h in range(cat.size)]
+    return parse_arrangement(f"field {field}\ndim {len(normals[0])}\n" + "".join(
+        "hyperplane " + " ".join(map(str, n)) + "\n" for n in normals))
+
+
 @pytest.fixture(scope="session")
 def arrangement_over():
-    """arrangement_over(source, field): the catalog entry ``source`` (the
-    arguments of ``catalog``) or ``"nonfree-4-7"``, over ``field``."""
-    def build(source, field):
-        if source == "nonfree-4-7":
-            normals = _NONFREE_4_7
-        else:
-            cat = catalog(*source)
-            normals = [cat.normal(h) for h in range(cat.size)]
-        return parse_arrangement(f"field {field}\ndim {len(normals[0])}\n" + "".join(
-            "hyperplane " + " ".join(map(str, n)) + "\n" for n in normals))
-    return build
+    """arrangement_over(source, field): :func:`build_arrangement`."""
+    return build_arrangement
 
 
 @pytest.fixture(scope="session")

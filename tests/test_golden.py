@@ -20,14 +20,15 @@ import pytest
 
 from arrsheaf.arrangement import catalog, serialize_arrangement
 from arrsheaf.cli import main
+from conftest import build_arrangement
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
 
 FP = "Fp 2147483647"
 
-# name -> (catalog entry, CLI arguments; "{f}" is the arrangement file[,
-# field replacing the entry's "field Q" line])
+# name -> (catalog entry or a ``build_arrangement`` name, CLI arguments; "{f}"
+# is the arrangement file[, field replacing the entry's "field Q" line])
 CASES = {
     "lattice-braid4": (("braid", 4), ["lattice", "{f}"]),
     "freeness-braid3": (("braid", 3), ["freeness", "{f}"]),
@@ -91,12 +92,16 @@ CASES = {
         ["oracle", "{f}", "--cover", "arrangement", "--window", "-2:2", "--kmax", "4"]),
     # D on the coordinate cover at ell = 4
     "oracle-braid4": (("braid", 4), ["oracle", "{f}", "--window", "0:1", "--kmax", "4"]),
+    # not free at ell = 4, with c_{h,k} in {+-1, +-2} and nonzero H^1 and H^2
+    "report-nonfree47": ("nonfree-4-7", ["report", "{f}", "--skip-kunneth"]),
+    "cohomology-nonfree47-fp": ("nonfree-4-7", ["cohomology", "{f}"], FP),
 }
 
 
 def run_case(name: str, workdir: Path) -> tuple[int, bytes]:
     entry, argv, *field = CASES[name]
-    text = serialize_arrangement(catalog(*entry))
+    arr = build_arrangement(entry, "Q") if isinstance(entry, str) else catalog(*entry)
+    text = serialize_arrangement(arr)
     if field:
         text = text.replace("field Q\n", f"field {field[0]}\n", 1)
     path = workdir / f"{name}.arr"
