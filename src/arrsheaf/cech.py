@@ -54,7 +54,6 @@ from .monomials import (
     poly_mul,
 )
 from .oracle import (  # CapExceeded is re-exported for the CLI and the package
-    DEFAULT_TUPLE_CAP,
     CapExceeded,
     _check_tuple_cap,
     _truncated_engine,
@@ -259,7 +258,6 @@ def build_cech_complex(
     cover: CoverIndex,
     d: int,
     max_level: int | None = None,
-    tuple_cap: int | None = None,
 ) -> CechComplex:
     """Assemble terms and coboundaries over strictly increasing center tuples."""
     validate_cover(lattice, cover)
@@ -268,9 +266,7 @@ def build_cech_complex(
     if max_level is None:
         max_level = min(ell, n_centers - 1)
     max_level = min(max_level, n_centers - 1)
-    if tuple_cap is None:
-        tuple_cap = DEFAULT_TUPLE_CAP
-    _check_tuple_cap(n_centers, max_level + 1, tuple_cap)
+    _check_tuple_cap(n_centers, max_level + 1)
     return _materialize(lattice, functor, cover, max_level, d)
 
 

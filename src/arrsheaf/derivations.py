@@ -8,6 +8,14 @@ alpha for every member form alpha" is imposed degreewise: theta(alpha) is
 reduced modulo alpha by eliminating the pivot variable of alpha (its first
 nonzero coordinate) and all coefficients of the reduction must vanish.  The
 degree-d piece is the exact kernel of those stacked linear constraints.
+
+``DerivationEngine`` keeps those constraint rows, one per (member, reduced
+monomial), and they are the one representation of a piece that the other
+layers read: its dimension and coordinates come from one fill-reducing
+elimination of the rows (``space_coordinates``), its basis from their kernel
+(``space_basis``), and membership is the rows vanishing on a vector
+(``contains``), which is how :func:`inclusion_matrix` checks an inclusion
+before it reads the coordinates off the kernel basis.
 """
 
 from __future__ import annotations
@@ -18,13 +26,11 @@ from functools import lru_cache
 
 from .arrangement import Arrangement, ArrangementError, members_of
 from .linalg import (
-    ColumnSpace,
     _fill_reducing,
     _integerized,
     _reducer,
     sparse_kernel_basis,
     sparse_pivots,
-    sparse_rank,
 )
 from .monomials import (
     basis,
@@ -51,7 +57,8 @@ def reduced_row_tuples(ell: int, degree: int, pivot: int) -> tuple:
 
 
 class DerivationEngine:
-    """Per-arrangement cache of constraint matrices, eliminations and kernel bases."""
+    """Per-arrangement cache of constraint rows, their one fill-reducing
+    elimination per (members, degree), and kernel bases."""
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
@@ -59,30 +66,22 @@ class DerivationEngine:
         self.ell = arr.ell
         self._subst: dict[int, dict] = {}       # h -> {monomial: reduction dict}
         self._pivot: dict[int, int] = {}
-        self._columns: dict = {}
+        self._form: dict[int, dict] = {}        # h -> x_pivot as a form mod alpha_h
         self._rows: dict = {}
-        self._rank: dict = {}
         self._coordinates: dict = {}
         self._basis: dict = {}
+        f = self.field
         for h in range(arr.size):
             normal = arr.normal(h)
-            self._pivot[h] = next(i for i, c in enumerate(normal) if c != 0)
+            p = self._pivot[h] = next(i for i, c in enumerate(normal) if c != 0)
             self._subst[h] = {}
+            inv = f.div(f.one, normal[p])
+            self._form[h] = {
+                tuple(int(k == j) for k in range(self.ell)): f.neg(f.mul(inv, c))
+                for j, c in enumerate(normal) if j != p and c != 0
+            }
 
     # -- reduction of a monomial modulo one defining form --------------------
-
-    def _substitution_form(self, h: int) -> dict:
-        normal = self.arr.normal(h)
-        p = self._pivot[h]
-        f = self.field
-        inv = f.div(f.one, normal[p])
-        out = {}
-        for j, c in enumerate(normal):
-            if j != p and c != 0:
-                e = [0] * self.ell
-                e[j] = 1
-                out[tuple(e)] = f.neg(f.mul(inv, c))
-        return out
 
     def reduce_monomial(self, h: int, m: tuple) -> dict:
         """m mod alpha_h as {pivot-free monomial: scalar}."""
@@ -97,7 +96,7 @@ class DerivationEngine:
         lower = list(m)
         lower[p] -= 1
         partial = self.reduce_monomial(h, tuple(lower))
-        form = self._substitution_form(h)
+        form = self._form[h]
         out: dict = {}
         f = self.field
         for mono, c in partial.items():
@@ -127,76 +126,64 @@ class DerivationEngine:
         layout["total"] = block * len(members)
         return layout
 
-    def constraint_columns(self, members: tuple[int, ...], d: int):
-        """Columns of the stacked constraint map S_d^ell -> sum_h S_d/(alpha_h).
-
-        Column (i, m) collects, for every member h with nonzero i-th normal
-        coefficient, that coefficient times the reduction of m mod alpha_h.
-        """
-        key = (members, d)
-        hit = self._columns.get(key)
-        if hit is not None:
-            return hit
+    def _column(self, members: tuple[int, ...], i: int, m: tuple):
+        """The nonzero entries (h, reduced monomial, value) of column (i, m) of
+        the stacked constraint map S_d^ell -> sum_h S_d/(alpha_h): for every
+        member h with nonzero i-th normal coefficient a, a times the
+        reduction of m mod alpha_h.  Distinct members and distinct reduced
+        monomials are distinct rows, so no two entries share a row."""
         f = self.field
-        mono = basis(self.ell, d)
-        layout = self.row_layout(members, d)
-        cols = []
-        for i in range(self.ell):
-            for m in mono.tuples:
-                col: dict = {}
-                for h in members:
-                    a = self.arr.normal(h)[i]
-                    if a == 0:
-                        continue
-                    off = layout["offsets"][h]
-                    idx = layout["row_index"][h]
-                    for mono_red, c in self.reduce_monomial(h, m).items():
-                        r = off + idx[mono_red]
-                        w = f.add(col.get(r, f.zero), f.mul(a, c))
-                        if w == 0:
-                            col.pop(r, None)
-                        else:
-                            col[r] = w
-                cols.append(col)
-        result = (cols, layout)
-        self._columns[key] = result
-        return result
+        for h in members:
+            a = self.arr.normal(h)[i]
+            if a != 0:
+                for mono_red, c in self.reduce_monomial(h, m).items():
+                    yield h, mono_red, f.mul(a, c)
 
     def constraint_rows(self, members: tuple[int, ...], d: int) -> list[dict]:
+        """Rows of the stacked constraint map, one per (member h, pivot-free
+        monomial), in ``row_layout`` order; each entry is written once."""
         key = (members, d)
         hit = self._rows.get(key)
         if hit is not None:
             return hit
-        cols, layout = self.constraint_columns(members, d)
+        layout = self.row_layout(members, d)
+        offsets, row_index = layout["offsets"], layout["row_index"]
         rows: list[dict] = [dict() for _ in range(layout["total"])]
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                rows[r][j] = v
+        columns = itertools.product(range(self.ell), basis(self.ell, d).tuples)
+        for j, (i, m) in enumerate(columns):
+            for h, mono_red, v in self._column(members, i, m):
+                rows[offsets[h] + row_index[h][mono_red]][j] = v
         self._rows[key] = rows
         return rows
 
-    def constraint_rank(self, members: tuple[int, ...], d: int) -> int:
-        key = (members, d)
-        hit = self._rank.get(key)
-        if hit is None:
-            hit = sparse_rank(self.field, self.constraint_rows(members, d))
-            self._rank[key] = hit
-        return hit
-
     def space_coordinates(self, members: tuple[int, ...], d: int) -> dict[int, int]:
         """Coordinates of D(A_members)_d: the positions of S_d^ell off the
-        pivots of the constraint elimination (which also gives the rank),
+        pivots of the one fill-reducing elimination of the constraint rows,
         each mapped to its index among them.  A kernel vector is determined
         by its entries there, so restricting to them is an isomorphism."""
         key = (members, d)
         hit = self._coordinates.get(key)
         if hit is None:
             pivots = sparse_pivots(self.field, self.constraint_rows(members, d))
-            self._rank[key] = len(pivots)
             free = (j for j in range(self.ambient_dim(d)) if j not in pivots)
             hit = {j: i for i, j in enumerate(free)}
             self._coordinates[key] = hit
         return hit
+
+    def contains(self, members: tuple[int, ...], d: int, vec: dict) -> bool:
+        """Whether the degree-d vector lies in D(A_members)_d: every
+        constraint row vanishes on it.  The product is summed over the
+        columns of vec's entries, which are few, rather than over the rows."""
+        f = self.field
+        n = dim_poly(self.ell, d)
+        monos = basis(self.ell, d).tuples
+        image: dict = {}
+        for j, v in vec.items():
+            i, m = divmod(j, n)
+            for h, mono_red, w in self._column(members, i, monos[m]):
+                key = (h, mono_red)
+                image[key] = f.add(image.get(key, f.zero), f.mul(v, w))
+        return not any(image.values())
 
     # -- the graded pieces -----------------------------------------------------
 
@@ -204,11 +191,8 @@ class DerivationEngine:
         return self.ell * dim_poly(self.ell, d)
 
     def space_dim(self, members: tuple[int, ...], d: int) -> int:
-        if d < 0:
-            return 0
-        if not members:
-            return self.ambient_dim(d)
-        return self.ambient_dim(d) - self.constraint_rank(members, d)
+        """dim D(A_members)_d, the number of its coordinates (0 for d < 0)."""
+        return len(self.space_coordinates(members, d)) if d >= 0 else 0
 
     def space_basis(self, members: tuple[int, ...], d: int) -> list[dict]:
         """Deterministic kernel basis; columns are sparse (coord, monomial)
@@ -323,8 +307,13 @@ def inclusion_matrix(arr: Arrangement, flat_small, flat_large, d: int) -> list[d
     Arguments are lattice elements or member index sets (A_Y and A_X); the
     precondition Y inside X means A_X is a subset of A_Y.  The result is one
     sparse column {index in the basis of D(A_X)_d: coefficient} per basis
-    vector of D(A_Y)_d, of full column rank; a vector outside the span would
-    mean the inclusion fails and is raised as FunctorError.
+    vector of D(A_Y)_d, of full column rank; a vector off the constraints of
+    A_X would mean the inclusion fails and is raised as FunctorError.
+
+    Each basis vector of D(A_X)_d (:func:`sparse_kernel_basis`) has its free
+    column as its first key, and no other basis vector is nonzero there, so
+    the coordinate of a member of D(A_X)_d is its entry there over the basis
+    vector's.
     """
     small = members_of(flat_small)
     large = members_of(flat_large)
@@ -333,15 +322,13 @@ def inclusion_matrix(arr: Arrangement, flat_small, flat_large, d: int) -> list[d
             "inclusion requires the target localization to be a subset"
         )
     eng = engine_for(arr)
-    b_small = eng.space_basis(small, d)
-    b_large = eng.space_basis(large, d)
-    space = ColumnSpace(arr.field, b_large, eng.ambient_dim(d))
+    f = arr.field
+    free = [(k, next(iter(b)), b) for k, b in enumerate(eng.space_basis(large, d))]
     coords = []
-    for v in b_small:
-        c = space.coordinates(v)
-        if c is None:
+    for v in eng.space_basis(small, d):
+        if not eng.contains(large, d, v):
             raise FunctorError("derivation inclusion failed; constraint bug")
-        coords.append(c)
+        coords.append({k: f.div(v[j], b[j]) for k, j, b in free if j in v})
     return coords
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .arrangement import Arrangement, ArrangementError
-from .linalg import ColumnSpace, RowReducer, sparse_rref
+from .linalg import RowReducer, sparse_kernel_basis, sparse_rref
 
 
 @dataclass(frozen=True)
@@ -144,23 +144,27 @@ class IntersectionLattice:
     def normal_basis(self, flat: int) -> tuple[tuple[int, ...], dict[int, dict]]:
         """(B, c) for a flat: B the first codim members, in member order, whose
         normals are independent, and c[h] = {k: c_hk} with
-        a_h = sum_k c_hk a_{B_k} for every other member h, in member order."""
+        a_h = sum_k c_hk a_{B_k} for every other member h, in member order.
+
+        The kernel of the matrix [a_{B_1} ... a_{B_r} a_h] is zero when a_h is
+        independent of B and otherwise one-dimensional, spanned by a vector
+        with entry 1 at a_h's column (the free one), whose other entries
+        are the -c_hk."""
         hit = self._normal_bases.get(flat)
         if hit is None:
             arr = self.arrangement
+            f = arr.field
             basis: list[int] = []
             coeffs: dict[int, dict] = {}
-            normals: list[dict] = []
-            span = None
             for h in self.elements[flat].members:
-                normal = {j: c for j, c in enumerate(arr.normal(h)) if c != 0}
-                c = None if span is None else span.coordinates(normal)
-                if c is None:
-                    basis.append(h)
-                    normals.append(normal)
-                    span = ColumnSpace(arr.field, normals, arr.ell)
+                normals = [arr.normal(b) for b in basis] + [arr.normal(h)]
+                rows = [{k: n[j] for k, n in enumerate(normals) if n[j] != 0}
+                        for j in range(arr.ell)]
+                kernel = sparse_kernel_basis(f, rows, len(normals))
+                if kernel:
+                    coeffs[h] = {k: f.neg(v) for k, v in kernel[0].items() if k < len(basis)}
                 else:
-                    coeffs[h] = c
+                    basis.append(h)
             hit = self._normal_bases[flat] = (tuple(basis), coeffs)
         return hit
 

@@ -11,9 +11,11 @@ row's leading entries against the rows stored so far, which is all that rank
 and span membership need; over Q it works fraction-free on primitive integer
 rows and never creates a Fraction.  Its ``rref`` back-substitutes the stored
 rows once, and every other job reads that reduced echelon form: echelon rows
-(:func:`sparse_rref`), kernel bases (:func:`sparse_kernel_basis`), quotient
-coordinates (:class:`SubspaceReducer`) and span coordinates
-(:class:`ColumnSpace`).
+(:func:`sparse_rref`), kernel bases (:func:`sparse_kernel_basis`) and
+quotient coordinates (:class:`SubspaceReducer`).  Coordinates in a kernel
+basis need no elimination: each basis vector is the only one nonzero at its
+free column, where it has its first key (see
+``derivations.inclusion_matrix`` and ``lattice.normal_basis``).
 
 ``RowReducer`` pivots on a row's first nonzero column.  Jobs that read only a
 rank, a span, membership or some set of kernel coordinates first renumber
@@ -23,7 +25,7 @@ nonzeros first, cf. Markowitz 1957), which keeps the stored rows sparse:
 whose free positions index some complement of V, and the membership tests
 of the freeness certificate's generator scan.
 Jobs whose output depends on the order keep the natural column order:
-:func:`sparse_rref`, :func:`sparse_kernel_basis` and :class:`ColumnSpace`.
+:func:`sparse_rref` and :func:`sparse_kernel_basis`.
 Both orders are fixed functions of the input, so every result is
 deterministic across runs.
 """
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def _is_prime(n: int) -> bool:
@@ -377,22 +379,28 @@ def sparse_kernel_basis(field: Field, rows: Iterable[dict], cols: int) -> list[d
     return list(basis.values())
 
 
-class _EchelonQuotient:
-    """K^n/V read off a reduced echelon form of V whose column i is ambient
-    position ``labels[i]``; positions outside ``labels`` are zero on V.
+class SubspaceReducer:
+    """The quotient K^n/V of a subspace V spanned by ``generators``.
 
-    The free positions, the non-pivot labels in column order and then the
-    unlabelled positions ascending, index a basis of K^n/V.
+    V is echelonized in the fill-reducing column order of its generators;
+    positions that no generator touches are zero on V.  The free positions,
+    the non-pivot columns in that order and then the untouched positions
+    ascending, index a basis of K^n/V: one complement of V, in no particular
+    order, whose members are original ambient positions.  Callers read only
+    ranks and membership, which any complement gives alike.
+
     ``quotient_coords`` returns L times the residue of a vector modulo V on
-    those positions, where L is the lcm of the pivot entries of the echelon
-    rows (1 over GF(p); over Q the rows are primitive integer rows).  The map
-    is linear with kernel exactly V; its images differ from true quotient
-    coordinates by the one nonzero factor L, which no rank can see.
+    those positions, where L (``scale``) is the lcm of the pivot entries of
+    the echelon rows (1 over GF(p); over Q the rows are primitive integer
+    rows).  The map is linear with kernel exactly V; its images differ from
+    true quotient coordinates by the one nonzero factor L, which no rank can
+    see.
     """
 
-    def __init__(self, field: Field, ambient_dim: int, reduced: dict[int, dict],
-                 labels: Sequence[int]):
+    def __init__(self, field: Field, ambient_dim: int, generators: Iterable[dict] = ()):
         self.field = field
+        rows, labels = _fill_reducing(generators)
+        reduced = _reducer(field, rows).rref()
         labelled = set(labels)
         self.free_positions = [
             pos for i, pos in enumerate(labels) if i not in reduced
@@ -427,49 +435,3 @@ class _EchelonQuotient:
                 for i, w in image.items():
                     out[i] = sub(out.get(i, zero), mul(v, w))
         return {i: v for i, v in out.items() if v}
-
-
-class SubspaceReducer(_EchelonQuotient):
-    """The quotient K^n/V of a subspace V spanned by ``generators``.
-
-    V is echelonized in the fill-reducing column order of its generators, so
-    the free positions index one complement of V, in no particular order;
-    they are original ambient positions.  Callers read only ranks and
-    membership, which any complement gives alike.
-    """
-
-    def __init__(self, field: Field, ambient_dim: int, generators: Iterable[dict] = ()):
-        rows, labels = _fill_reducing(generators)
-        super().__init__(field, ambient_dim, _reducer(field, rows).rref(), labels)
-
-
-class ColumnSpace:
-    """Exact coordinates of vectors in the span of fixed columns.
-
-    Used for writing basis columns of one graded piece in terms of another
-    (restriction maps); the coordinates are exact and deterministic.
-    """
-
-    def __init__(self, field: Field, columns: list[dict], ambient_dim: int):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        rows = [{**col, ambient_dim + i: field.one} for i, col in enumerate(columns)]
-        # the span of the [column | e_i] rows, echelonized in natural order
-        # so that the ambient columns pivot before the e_i columns: a target
-        # vector lies in the column span exactly when its residue has no
-        # entry below ambient_dim, and then its residue on positions
-        # >= ambient_dim is minus its coordinates
-        n = ambient_dim + len(columns)
-        self._space = _EchelonQuotient(field, n, _reducer(field, rows).rref(), range(n))
-
-    def coordinates(self, vec: dict) -> dict | None:
-        """coords c with sum_i c_i col_i = vec, or None if vec not in span."""
-        space = self._space
-        positions = space.free_positions
-        field, amb = self.field, self.ambient_dim
-        coords = {}
-        for i, v in space.quotient_coords(vec).items():
-            if positions[i] < amb:
-                return None
-            coords[positions[i] - amb] = field.div(field.neg(v), space.scale)
-        return coords

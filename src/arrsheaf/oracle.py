@@ -33,7 +33,7 @@ from math import comb
 from .arrangement import Arrangement, FormProduct, cofactor_forms
 from .derivations import engine_for, multiply_vector
 from .lattice import IntersectionLattice
-from .linalg import SubspaceReducer, _reducer, sparse_rank
+from .linalg import SubspaceReducer, sparse_rank
 from .monomials import dim_poly, poly_from_linear, poly_pow, poly_product
 
 
@@ -47,11 +47,13 @@ class CapExceeded(RuntimeError):
     """Tuple enumeration exceeded the configured cap; use the minimal cover."""
 
 
-def _check_tuple_cap(n_centers: int, levels: int, cap: int) -> None:
+def _check_tuple_cap(n_centers: int, levels: int) -> None:
+    """Count the tuples of the first ``levels`` levels against
+    ``DEFAULT_TUPLE_CAP`` before any is built."""
     total = sum(comb(n_centers, k + 1) for k in range(levels))
-    if total > cap:
+    if total > DEFAULT_TUPLE_CAP:
         raise CapExceeded(
-            f"{total} Cech tuples exceed the cap {cap}; "
+            f"{total} Cech tuples exceed the cap {DEFAULT_TUPLE_CAP}; "
             "switch to the minimal cover or narrow the computation"
         )
 
@@ -68,7 +70,7 @@ def block_complex_dims(field, centers, join, block, n_max: int) -> dict[int, int
     is built.
     """
     n_levels = n_max + 2  # delta^{n_max} reaches level n_max + 1
-    _check_tuple_cap(len(centers), n_levels, DEFAULT_TUPLE_CAP)
+    _check_tuple_cap(len(centers), n_levels)
     blocks: dict = {}
     levels = []
     for n in range(min(n_levels, len(centers))):
@@ -215,7 +217,7 @@ class _DerivationPieces:
         self.all_members = tuple(range(arr.size))
 
     def module_dim(self, t: int) -> int:
-        return len(self.engine.space_coordinates(self.all_members, t))
+        return self.engine.space_dim(self.all_members, t)
 
     def module_basis(self, t: int) -> list[dict]:
         return self.engine.space_basis(self.all_members, t)
@@ -545,7 +547,8 @@ def localization_identity_check(
       * multiplying a meet-side numerator by one factor of Q(X) lands in the
         Y side at level K+1.
 
-    Both are exact subspace containments; the identity of the localizations
+    Both are exact subspace containments, each tested on the defining
+    constraints of the containing side; the identity of the localizations
     is precisely their simultaneous validity at every level.
     """
     f = arr.field
@@ -556,18 +559,18 @@ def localization_identity_check(
     multiplier = cofactor_forms(arr, x_members)
 
     t = d + truncation * multiplier.degree
-    side_y = eng.space_basis(tuple(sorted(y_members)), t)
-    side_meet = eng.space_basis(tuple(sorted(meet_members)), t)
+    y_key, meet_key = tuple(sorted(y_members)), tuple(sorted(meet_members))
+    side_y = eng.space_basis(y_key, t)
+    side_meet = eng.space_basis(meet_key, t)
 
-    forward = all(map(_reducer(f, side_meet).contains, side_y))
+    forward = all(eng.contains(meet_key, t, v) for v in side_y)
 
     q_poly = poly_product(
         f, (poly_from_linear(arr.normal(h), arr.ell) for h in multiplier.factors), arr.ell
     )
-    next_y = eng.space_basis(tuple(sorted(y_members)), t + multiplier.degree)
-    y_next_red = _reducer(f, next_y)
     backward = all(
-        y_next_red.contains(multiply_vector(arr, v, q_poly, t)) for v in side_meet
+        eng.contains(y_key, t + multiplier.degree, multiply_vector(arr, v, q_poly, t))
+        for v in side_meet
     )
     return {
         "forward_inclusion": forward,

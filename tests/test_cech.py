@@ -19,7 +19,7 @@ from arrsheaf.cech import (
     minimal_cover,
     validate_cover,
 )
-from arrsheaf import derivations
+from arrsheaf import derivations, oracle
 from arrsheaf.derivations import derivation_space, engine_for
 from arrsheaf.lattice import build_lattice
 from arrsheaf.linalg import sparse_rank
@@ -75,12 +75,11 @@ def test_cover_validation(braid3_lattice):
         )
 
 
-def test_tuple_cap(braid3, braid3_lattice):
+def test_tuple_cap(braid3, braid3_lattice, monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_TUPLE_CAP", 5)
     F = DerivationFunctor(braid3, braid3_lattice)
     with pytest.raises(CapExceeded):
-        build_cech_complex(
-            braid3_lattice, F, full_cover(braid3_lattice), 1, tuple_cap=5
-        )
+        build_cech_complex(braid3_lattice, F, full_cover(braid3_lattice), 1)
 
 
 @pytest.mark.parametrize(
@@ -299,7 +298,7 @@ def test_cokernel_blocks_skip_only_zero_ranks(source, field, arrangement_over):
         for flat, element in enumerate(lat.elements):
             members = element.members
             full = len(members) * size
-            rank = eng.constraint_rank(members, d)
+            rank = eng.ambient_dim(d) - eng.space_dim(members, d)
             if len(members) == element.codim:
                 assert rank == full, (flat, d)
             block = cok.block(flat)
@@ -310,7 +309,10 @@ def test_cokernel_blocks_skip_only_zero_ranks(source, field, arrangement_over):
                 lifts, project = block
                 assert len(lifts) == dim, (flat, d)
                 assert sparse_rank(arr.field, map(project, lifts)) == dim, (flat, d)
-            cols, _layout = eng.constraint_columns(members, d)
+            cols = [{} for _ in range(eng.ambient_dim(d))]
+            for r, row in enumerate(eng.constraint_rows(members, d)):
+                for j, v in row.items():
+                    cols[j][r] = v
             for col in cols:
                 entries = {(members[r // size], r % size): v for r, v in col.items()}
                 assert not map_into(entries), (flat, d)
@@ -318,7 +320,7 @@ def test_cokernel_blocks_skip_only_zero_ranks(source, field, arrangement_over):
             assert sparse_rank(arr.field, units) == dim, (flat, d)
 
 
-def test_derivation_table_builds_constraint_columns_only_at_the_top(monkeypatch):
+def test_derivation_table_builds_constraint_rows_only_at_the_top(monkeypatch):
     """The D table eliminates the constraint map of the whole arrangement
     (for dim D(A)_d) and no other: the cokernel blocks never build one."""
     arr = catalog("braid", 4)
@@ -326,12 +328,12 @@ def test_derivation_table_builds_constraint_columns_only_at_the_top(monkeypatch)
     monkeypatch.setattr(derivations, "_engines", {})
     eng = engine_for(arr)
     built = set()
-    columns = eng.constraint_columns
+    constraint_rows = eng.constraint_rows
 
     def spy(members, d):
         built.add(members)
-        return columns(members, d)
+        return constraint_rows(members, d)
 
-    monkeypatch.setattr(eng, "constraint_columns", spy)
+    monkeypatch.setattr(eng, "constraint_rows", spy)
     lattice_cohomology_table(arr, lat, "D", (0, 3))
     assert built == {tuple(range(arr.size))}

@@ -5,6 +5,7 @@ import pytest
 
 from arrsheaf.arrangement import Arrangement, ArrangementError, Hyperplane, catalog
 from arrsheaf.derivations import (
+    FunctorError,
     derivation_space,
     engine_for,
     euler_vector,
@@ -167,6 +168,42 @@ def test_inclusion_full_column_rank_and_functorial(braid3, braid3_lattice):
     assert len(m_zx) == derivation_space(braid3, z.members, d).dim
     assert sparse_rank(QQ, m_zx) == len(m_zx)
     assert compose_columns(m_yx, m_zy) == m_zx
+
+
+def test_inclusion_coordinates_rebuild_the_vectors(braid3, braid3_lattice):
+    """Column j of the inclusion writes basis vector j of D(A_Y)_d in the
+    basis of D(A_X)_d, for every pair of flats Y inside X."""
+    elements = braid3_lattice.elements
+    d = 2
+    for y in elements:
+        for x in elements:
+            if not set(x.members) <= set(y.members):
+                continue
+            b_large = derivation_space(braid3, x.members, d).vectors
+            cols = inclusion_matrix(braid3, y.members, x.members, d)
+            for v, col in zip(derivation_space(braid3, y.members, d).vectors, cols):
+                rebuilt = {}
+                for k, c in col.items():
+                    for j, w in b_large[k].items():
+                        rebuilt[j] = rebuilt.get(j, 0) + c * w
+                assert {j: w for j, w in rebuilt.items() if w} == v
+
+
+def test_inclusion_raises_off_the_constraints(boolean2, boolean2_lattice, monkeypatch):
+    """A vector of the small side that breaks a constraint of the large flat
+    means the inclusion failed, raised as FunctorError."""
+    lat = boolean2_lattice
+    top = lat.elements[lat.top_index].members
+    line = lat.elements[1].members
+    eng = engine_for(boolean2)
+    off = next({j: 1} for j in range(eng.ambient_dim(1))
+               if not eng.contains(line, 1, {j: 1}))
+    space_basis = eng.space_basis
+    monkeypatch.setattr(
+        eng, "space_basis",
+        lambda members, d: [off] if members == top else space_basis(members, d))
+    with pytest.raises(FunctorError):
+        inclusion_matrix(boolean2, top, line, 1)
 
 
 def test_boolean2_inclusion_shape(boolean2, boolean2_lattice):
@@ -384,3 +421,46 @@ def test_space_coordinates_are_coordinates_of_the_module(source, field, arrangem
         assert sorted(coords.values()) == list(range(len(basis))), t
         restricted = [{coords[j]: v for j, v in b.items() if j in coords} for b in basis]
         assert sparse_rank(arr.field, restricted) == len(basis), t
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp 2147483647"])
+@pytest.mark.parametrize(
+    "source", [("braid", 3), ("generic", 3, 4), "nonfree-4-7"],
+    ids=["braid-3", "generic-3-4", "nonfree-4-7"])
+def test_contains_is_span_membership(source, field, arrangement_over):
+    """``contains`` (every constraint row vanishes) agrees with membership in
+    the span of ``space_basis``, on random combinations of the basis, which
+    lie in D(A_X)_t, and on those plus a random unit vector or random
+    ambient vectors, most of which do not."""
+    arr = arrangement_over(source, field)
+    f = arr.field
+    eng = engine_for(arr)
+    rng = random.Random(11)
+    outcomes = set()
+    for element in build_lattice(arr).elements:
+        members = element.members
+        for t in range(4):
+            basis = eng.space_basis(members, t)
+            span = RowReducer(f)
+            for b in basis:
+                span.add_row(b)
+            n = eng.ambient_dim(t)
+            for _ in range(3):
+                inside = {}
+                for b in basis:
+                    c = f.from_int(rng.randint(-3, 3))
+                    for j, v in b.items():
+                        inside[j] = f.add(inside.get(j, f.zero), f.mul(c, v))
+                inside = {j: v for j, v in inside.items() if v}
+                assert eng.contains(members, t, inside), (members, t)
+                j = rng.randrange(n)
+                nudged = dict(inside)
+                nudged[j] = f.add(nudged.get(j, f.zero), f.one)
+                nudged = {j: v for j, v in nudged.items() if v}
+                ambient = {j: f.from_int(rng.randint(-3, 3)) for j in range(n)}
+                ambient = {j: v for j, v in ambient.items() if v}
+                for vec in (nudged, ambient):
+                    inside_span = span.contains(vec)
+                    assert eng.contains(members, t, vec) == inside_span, (members, t)
+                    outcomes.add(inside_span)
+    assert outcomes == {True, False}

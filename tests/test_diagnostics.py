@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from arrsheaf import cech, derivations, diagnostics
+from arrsheaf import cech, derivations, diagnostics, linalg
 from arrsheaf.arrangement import catalog
 from arrsheaf.cech import lattice_cohomology_table
 from arrsheaf.derivations import FreenessCertificate, freeness_certificate
@@ -220,6 +220,26 @@ def test_build_report_computes_each_input_once(generic34, generic34_lattice, mon
     build_report(generic34, generic34_lattice, window=(-7, 4),
                  kunneth_window=(-2, 2), kmax=4)
     assert calls == dict.fromkeys(calls, 1)
+
+
+def test_build_report_eliminates_each_constraint_matrix_once(arrangement_over,
+                                                            monkeypatch):
+    # dim D(A)_d for the D table and the coordinates of D(A)_d for the
+    # oracle read one fill-reducing elimination of each cached row list
+    arr = arrangement_over(("braid", 3), "Fp 2147483647")
+    monkeypatch.setattr(derivations, "_engines", {})
+    passed = []  # holding every list keeps the ids of distinct lists distinct
+    for module in (linalg, derivations):
+        def counted(field, rows, _original=module.sparse_pivots):
+            passed.append(rows)
+            return _original(field, rows)
+
+        monkeypatch.setattr(module, "sparse_pivots", counted)
+    build_report(arr, build_lattice(arr), kunneth_window=(-3, 3), kmax=5)
+    cached = {id(rows) for rows in derivations.engine_for(arr)._rows.values()}
+    counts = Counter(id(rows) for rows in passed if id(rows) in cached)
+    repeated = sum(1 for c in counts.values() if c > 1)
+    assert counts and not repeated, f"{repeated} row lists eliminated again"
 
 
 def test_build_report_computes_each_degree_once(boolean2, boolean2_lattice, monkeypatch):

@@ -1,8 +1,9 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from arrsheaf.arrangement import catalog
+from arrsheaf.arrangement import catalog, parse_arrangement
 from arrsheaf.lattice import build_lattice, lattice_json
 from arrsheaf.linalg import QQ, RowReducer, sparse_rank, sparse_rref
 
@@ -194,3 +195,13 @@ def test_normal_basis_is_first_independent_members(source, field, arrangement_ov
                 for i, a in enumerate(arr.normal(basis[k])):
                     combo[i] = f.add(combo[i], f.mul(ck, a))
             assert tuple(combo) == tuple(arr.normal(h)), (flat, h)
+
+
+def test_normal_basis_fractional_coefficients():
+    # a_2 = c0 a_0 + c1 a_1 with 2 c0 + c1 = 1 and 3 c1 = 2: neither
+    # coefficient is an integer
+    arr = parse_arrangement("field Q\ndim 2\nhyperplane 2 0\nhyperplane 1 3\n"
+                            "hyperplane 1 2\n")
+    lat = build_lattice(arr)
+    assert lat.normal_basis(lat.top_index) == (
+        (0, 1), {2: {0: Fraction(1, 6), 1: Fraction(2, 3)}})

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from arrsheaf.linalg import (
     GF,
     QQ,
-    ColumnSpace,
     PrimeField,
     RowReducer,
     SubspaceReducer,
@@ -327,21 +326,6 @@ def test_subspace_reducer_quotient_map(case):
     assert red.quotient_coords(mixed) == _combine(field, a, qu, b, qw)
     images = [red.quotient_coords({j: field.one}) for j in range(n)]
     assert sparse_rank(field, images) == red.quotient_dim
-
-
-def test_column_space_coordinates():
-    cols = [{0: 1, 1: 2}, {1: 1}]
-    space = ColumnSpace(QQ, cols, 3)
-    coords = space.coordinates({0: 2, 1: 5})
-    assert coords == {0: 2, 1: 1}
-    assert space.coordinates({2: 1}) is None
-
-
-def test_column_space_fractional_coordinates():
-    # 2 c0 + c1 = 1 and 3 c1 = 2: neither coordinate is an integer
-    space = ColumnSpace(QQ, [{0: 2}, {0: 1, 1: 3}], 2)
-    assert space.coordinates({0: 1, 1: 2}) == {0: Fraction(1, 6), 1: Fraction(2, 3)}
-    assert space.coordinates({0: Fraction(1, 2)}) == {0: Fraction(1, 4)}
 
 
 @st.composite
