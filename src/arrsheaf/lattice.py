@@ -146,26 +146,26 @@ class IntersectionLattice:
         normals are independent, and c[h] = {k: c_hk} with
         a_h = sum_k c_hk a_{B_k} for every other member h, in member order.
 
-        The kernel of the matrix [a_{B_1} ... a_{B_r} a_h] is zero when a_h is
-        independent of B and otherwise one-dimensional, spanned by a vector
-        with entry 1 at a_h's column (the free one), whose other entries
-        are the -c_hk."""
+        Both are read off the kernel basis of the matrix whose columns are
+        the members' normals (natural column order): B is its pivot columns,
+        and the basis vector of each free column h has entry 1 there and
+        -c_hk at the column of B_k."""
         hit = self._normal_bases.get(flat)
         if hit is None:
             arr = self.arrangement
             f = arr.field
-            basis: list[int] = []
-            coeffs: dict[int, dict] = {}
-            for h in self.elements[flat].members:
-                normals = [arr.normal(b) for b in basis] + [arr.normal(h)]
-                rows = [{k: n[j] for k, n in enumerate(normals) if n[j] != 0}
-                        for j in range(arr.ell)]
-                kernel = sparse_kernel_basis(f, rows, len(normals))
-                if kernel:
-                    coeffs[h] = {k: f.neg(v) for k, v in kernel[0].items() if k < len(basis)}
-                else:
-                    basis.append(h)
-            hit = self._normal_bases[flat] = (tuple(basis), coeffs)
+            members = self.elements[flat].members
+            normals = [arr.normal(h) for h in members]
+            rows = [{i: n[j] for i, n in enumerate(normals) if n[j] != 0}
+                    for j in range(arr.ell)]
+            kernel = sparse_kernel_basis(f, rows, len(members))
+            free = [next(iter(v)) for v in kernel]
+            pivots = [i for i in range(len(members)) if i not in free]
+            k_of = {i: k for k, i in enumerate(pivots)}
+            coeffs = {members[i]: {k_of[c]: f.neg(w) for c, w in v.items() if c != i}
+                      for i, v in zip(free, kernel)}
+            hit = (tuple(members[i] for i in pivots), coeffs)
+            self._normal_bases[flat] = hit
         return hit
 
     @property
