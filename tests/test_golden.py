@@ -90,8 +90,13 @@ CASES = {
     "oracle-arrangement-generic34": (
         ("generic", 3, 4),
         ["oracle", "{f}", "--cover", "arrangement", "--window", "-2:2", "--kmax", "4"]),
+    # a flat cover over a prime field: non-monomial cofactors reduced mod p
+    "oracle-O-arrangement-braid3-fp": (
+        ("braid", 3),
+        ["oracle", "{f}", "--module", "O", "--cover", "arrangement",
+         "--window", "-3:3", "--kmax", "5"], FP),
     # D on the coordinate cover at ell = 4
-    "oracle-braid4": (("braid", 4), ["oracle", "{f}", "--window", "0:1", "--kmax", "4"]),
+    "oracle-braid4":(("braid", 4), ["oracle", "{f}", "--window", "0:1", "--kmax", "4"]),
     # not free at ell = 4, with c_{h,k} in {+-1, +-2} and nonzero H^1 and H^2
     "report-nonfree47": ("nonfree-4-7", ["report", "{f}", "--skip-kunneth"]),
     "cohomology-nonfree47-fp": ("nonfree-4-7", ["cohomology", "{f}"], FP),
