@@ -37,16 +37,36 @@ from math import gcd, lcm
 from typing import Iterable
 
 
+# Miller-Rabin with the thirteen primes up to 41 as bases is exact below
+# this bound (Sorenson and Webster 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError for n at or above
+    ``_PRIMALITY_BOUND``, where its bases no longer certify the answer."""
+    if n >= _PRIMALITY_BOUND:
+        raise ValueError(f"characteristic {n} is too large: primality is "
+                         f"decided only below {_PRIMALITY_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

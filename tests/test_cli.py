@@ -85,6 +85,16 @@ def test_derivations_bad_flat_index(tmp_path, capsys):
     assert code == EXIT_INPUT and "flat index" in err
 
 
+def test_oversized_characteristic_is_an_input_error(tmp_path, capsys):
+    from arrsheaf.linalg import _PRIMALITY_BOUND
+
+    f = tmp_path / "big.arr"
+    f.write_text(f"field Fp {_PRIMALITY_BOUND}\ndim 2\nhyperplane 1 0\nhyperplane 0 1\n")
+    code = main(["lattice", str(f)])
+    _, err = capsys.readouterr()
+    assert code == EXIT_INPUT and "too large" in err
+
+
 def test_cohomology_json_and_table(tmp_path, capsys):
     f = tmp_path / "b2.arr"
     f.write_text("field Q\ndim 2\nhyperplane 1 0\nhyperplane 0 1\n")

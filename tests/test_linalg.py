@@ -1,15 +1,18 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arrsheaf.linalg import (
+    _PRIMALITY_BOUND,
     GF,
     QQ,
     PrimeField,
     RowReducer,
     SubspaceReducer,
+    _is_prime,
     sparse_kernel_basis,
     sparse_rank,
     sparse_rref,
@@ -158,6 +161,30 @@ def test_prime_field_validation():
     with pytest.raises(ValueError):
         PrimeField(6)
     assert GF(7).characteristic == 7
+
+
+def test_is_prime_agrees_with_sieve():
+    n_max = 10**5
+    composite = [False] * n_max
+    for f in range(2, int(n_max**0.5) + 1):
+        for m in range(f * f, n_max, f):
+            composite[m] = True
+    assert [n for n in range(n_max) if _is_prime(n)] == [
+        n for n in range(2, n_max) if not composite[n]]
+
+
+def test_prime_field_large_characteristic():
+    # 2^61 - 1 is prime; trial division to its square root would take hours
+    start = time.perf_counter()
+    assert PrimeField(2**61 - 1).characteristic == 2**61 - 1
+    assert time.perf_counter() - start < 0.5
+    # a Carmichael number and a composite with no small factor are rejected
+    for n in (561, 2**61 + 1):
+        with pytest.raises(ValueError, match="must be prime"):
+            PrimeField(n)
+    assert _is_prime(_PRIMALITY_BOUND - 2) is False
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(_PRIMALITY_BOUND)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
