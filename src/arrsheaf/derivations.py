@@ -35,11 +35,10 @@ from .linalg import (
 from .monomials import (
     basis,
     dim_poly,
+    forms_product,
     mono_mul,
     monomial_tuples,
-    poly_from_linear,
     poly_mul,
-    poly_product,
 )
 
 
@@ -377,9 +376,7 @@ def saito_check(arr: Arrangement, candidates) -> bool:
                 det[m] = w
     if not det:
         return False
-    q = poly_product(
-        f, (poly_from_linear(arr.normal(h), ell) for h in range(arr.size)), ell
-    )
+    q = forms_product(f, (arr.normal(h) for h in range(arr.size)), ell)
     lead = min(q)
     if lead not in det:
         return False

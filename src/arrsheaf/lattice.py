@@ -45,7 +45,6 @@ class IntersectionLattice:
     def __init__(self, arr: Arrangement):
         self.arrangement = arr
         self.elements: tuple[LatticeElement, ...] = self._build(arr)
-        self._index = {e.span_rref: i for i, e in enumerate(self.elements)}
         self._members_index = {e.members: i for i, e in enumerate(self.elements)}
         self.top_index = len(self.elements) - 1
         if self.elements[self.top_index].codim != arr.ell:
@@ -126,12 +125,6 @@ class IntersectionLattice:
     def meet(self, i: int, j: int) -> int:
         """Meet in the full lattice; this is the join of L0 under inclusion."""
         return self.meet_table[i][j]
-
-    def join(self, i: int, j: int) -> int:
-        """Join in the full lattice: the flat spanned by both normal sets."""
-        arr = self.arrangement
-        normals = [arr.normal(k) for k in self.elements[i].members + self.elements[j].members]
-        return self._index[_span_key(arr.field, normals, arr.ell)]
 
     def meet_many(self, indices) -> int:
         out = None

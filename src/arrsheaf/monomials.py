@@ -88,6 +88,11 @@ def poly_product(field: Field, factors, ell: int) -> dict:
     return out
 
 
+def forms_product(field: Field, normals, ell: int) -> dict:
+    """The product of the linear forms with the given coefficient vectors."""
+    return poly_product(field, (poly_from_linear(n, ell) for n in normals), ell)
+
+
 def poly_pow(field: Field, p: dict, k: int, ell: int) -> dict:
     out = {(0,) * ell: field.one}
     for _ in range(k):

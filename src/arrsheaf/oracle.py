@@ -18,10 +18,11 @@ empty common numerator space are skipped), with explicit unstable flags
 otherwise.  No a priori truncation bound is available, so stabilization
 stays heuristic and flagged.
 
-Two covers are provided: the coordinate charts x_i != 0 (monomial
-denominators, fully independent of the lattice machinery) and the
-arrangement cover U(X) over the minimal flats (denominators Q(X), the same
-complex the truncated structure functor uses on the lattice side).
+Both covers are principal, so each is given by the linear forms its charts
+invert: a coordinate chart x_i != 0 one unit form (fully independent of the
+lattice machinery), an open U(X) of the arrangement cover over the minimal
+flats the hyperplanes not containing X (the complex the truncated structure
+functor uses on the lattice side).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .arrangement import Arrangement, FormProduct, cofactor_forms
 from .derivations import engine_for, multiply_vector
 from .lattice import IntersectionLattice
 from .linalg import SubspaceReducer, sparse_rank
-from .monomials import dim_poly, poly_from_linear, poly_pow, poly_product
+from .monomials import dim_poly, forms_product, poly_pow
 
 
 # ---------------------------------------------------------------------------
@@ -132,62 +133,6 @@ def exact_sequence_dims(global_dim: int, r0: int, quotient_dims: dict[int, int],
 
 
 # ---------------------------------------------------------------------------
-# cover descriptions
-
-
-class _CoordCover:
-    """Charts x_i != 0; a tuple key is the frozenset of inverted variables."""
-
-    def __init__(self, arr: Arrangement):
-        self.arr = arr
-        self.center_keys = [frozenset([i]) for i in range(arr.ell)]
-        self.full_degree = arr.ell
-
-    def join(self, keys) -> frozenset:
-        out: frozenset = frozenset()
-        for k in keys:
-            out = out | k
-        return out
-
-    def multiplier_degree(self, key) -> int:
-        return len(key)
-
-    def cofactor_poly(self, key) -> dict:
-        e = tuple(0 if i in key else 1 for i in range(self.arr.ell))
-        return {e: self.arr.field.one}
-
-
-class _FlatCover:
-    """Opens U(X) indexed by lattice flats; denominators are the Q(X)."""
-
-    def __init__(self, arr: Arrangement, lattice: IntersectionLattice, centers):
-        self.arr = arr
-        self.lattice = lattice
-        self.center_keys = list(centers)
-        self.full_degree = arr.size
-        self._cofactors: dict[int, dict] = {}
-
-    def join(self, keys) -> int:
-        return self.lattice.meet_many(keys)
-
-    def multiplier_degree(self, key: int) -> int:
-        return self.arr.size - len(self.lattice.elements[key].members)
-
-    def cofactor_poly(self, key: int) -> dict:
-        hit = self._cofactors.get(key)
-        if hit is None:
-            arr = self.arr
-            hit = poly_product(
-                arr.field,
-                (poly_from_linear(arr.normal(h), arr.ell)
-                 for h in self.lattice.elements[key].members),
-                arr.ell,
-            )
-            self._cofactors[key] = hit
-        return hit
-
-
-# ---------------------------------------------------------------------------
 # module piece providers: graded pieces inside copies of S_t (monomial
 # coordinates, block-major)
 
@@ -233,41 +178,42 @@ class _DerivationPieces:
 
 
 class TruncatedEngine:
-    """Shared computation of the truncated Cech complexes for one cover."""
+    """Truncated Cech complexes on a principal cover: chart i inverts the
+    ``forms`` (normals) indexed by the frozenset ``centers[i]``.  A tuple
+    inverts the union of its charts' sets, its key: its multiplier has
+    degree len(key), and its cofactor c_key is the product of the forms off
+    the key."""
 
-    def __init__(self, arr: Arrangement, cover, pieces):
+    def __init__(self, arr: Arrangement, forms, centers, pieces):
         self.arr = arr
         self.field = arr.field
-        self.cover = cover
+        self.forms = forms
+        self.centers = centers
         self.pieces = pieces
         self._powers: dict = {}
 
-    def cofactor_power(self, key, degree_needed: int) -> dict:
-        """cofactor(key)^K where K = degree_needed / deg cofactor."""
-        base = self.cover.cofactor_poly(key)
-        base_deg = max((sum(m) for m in base), default=0)
-        if base_deg == 0:
-            return base
-        k, r = divmod(degree_needed, base_deg)
-        if r:
-            raise ValueError("cofactor degree mismatch")
-        cache_key = (key, k)
-        hit = self._powers.get(cache_key)
+    def cofactor_power(self, key: frozenset, k: int) -> dict:
+        """c_key^k, cached by (key, k)."""
+        hit = self._powers.get((key, k))
         if hit is None:
-            hit = poly_pow(self.field, base, k, self.arr.ell)
-            self._powers[cache_key] = hit
+            ell = self.arr.ell
+            base = forms_product(self.field, (n for i, n in enumerate(self.forms)
+                                              if i not in key), ell)
+            hit = self._powers[(key, k)] = poly_pow(self.field, base, k, ell)
         return hit
 
-    def tuple_space(self, key, num_degree: int, amb_degree: int) -> list[dict]:
-        """Spanning vectors c^K b of V_key in the coordinates of W, b over a
-        basis of the numerator piece; empty when ``num_degree`` is negative."""
+    def tuple_space(self, key: frozenset, k: int, d: int) -> list[dict]:
+        """Spanning vectors c_key^k b of V_key in the coordinates of
+        W = M_{d + k q}, b over a basis of the numerator piece
+        M_{d + k len(key)}; empty when that degree is negative."""
         # a method of its own, so a profiler (perfbench/tracer.py) can time it
+        num_degree = d + k * len(key)
         if num_degree < 0:
             return []
-        power = self.cofactor_power(key, amb_degree - num_degree)
+        power = self.cofactor_power(key, k)
         return self.pieces.in_coordinates(
-            amb_degree, [multiply_vector(self.arr, b, power, num_degree)
-                         for b in self.pieces.module_basis(num_degree)])
+            d + k * len(self.forms), [multiply_vector(self.arr, b, power, num_degree)
+                                      for b in self.pieces.module_basis(num_degree)])
 
     def dims_at(self, d: int, k: int, n_max: int) -> dict[int, int]:
         """H^0 .. H^{n_max} of the level-k truncated complex in degree d.
@@ -285,23 +231,22 @@ class TruncatedEngine:
         H^0 = c^k M_d has dimension dim M_d (0 for d < 0).  A wrong r0 would
         show up as a negative dimension, which ``exact_sequence_dims``
         raises, or in h^1.  Tuples with V_T = W drop out of C, as do, on the
-        flat covers, all that meet in the bottom flat."""
-        cover, pieces = self.cover, self.pieces
-        amb_degree = d + k * cover.full_degree
-        w_dim = pieces.module_dim(amb_degree)
+        flat covers, all that meet in the bottom flat (they invert every
+        form)."""
+        pieces = self.pieces
+        w_dim = pieces.module_dim(d + k * len(self.forms))
         if w_dim == 0:
             return {n: 0 for n in range(n_max + 1)}
         units = [{i: self.field.one} for i in range(w_dim)]  # shared by all blocks
 
         def quotient(key):
-            num_degree = d + k * cover.multiplier_degree(key)
-            if pieces.module_dim(num_degree) == w_dim:
+            if pieces.module_dim(d + k * len(key)) == w_dim:
                 return None
-            red = SubspaceReducer(self.field, w_dim,
-                                  self.tuple_space(key, num_degree, amb_degree))
+            red = SubspaceReducer(self.field, w_dim, self.tuple_space(key, k, d))
             return [units[i] for i in red.free_positions], red.quotient_coords
 
-        quotient_dims = block_complex_dims(self.field, cover.center_keys, cover.join,
+        quotient_dims = block_complex_dims(self.field, self.centers,
+                                           lambda keys: frozenset().union(*keys),
                                            quotient, n_max - 1)
         return exact_sequence_dims(w_dim, w_dim - pieces.module_dim(d),
                                    quotient_dims, n_max)
@@ -310,12 +255,21 @@ class TruncatedEngine:
 def _truncated_engine(arr: Arrangement, module: str, cover: str,
                       lattice: IntersectionLattice | None = None,
                       centers=None) -> TruncatedEngine:
+    """The engine of ``module`` ("O" for S, else D(A)) on the coordinate
+    charts (``cover`` "coords") or on the opens U(X) over the flats
+    ``centers`` of ``lattice``; a tuple of flats inverts the hyperplanes off
+    the members of its meet."""
+    f = arr.field
     if cover == "coords":
-        cov = _CoordCover(arr)
+        forms = [tuple(f.one if j == i else f.zero for j in range(arr.ell))
+                 for i in range(arr.ell)]
+        keys = [frozenset([i]) for i in range(arr.ell)]
     else:
-        cov = _FlatCover(arr, lattice, centers)
+        forms = [arr.normal(h) for h in range(arr.size)]
+        keys = [frozenset(range(arr.size)).difference(lattice.elements[x].members)
+                for x in centers]
     pieces = _StructurePieces(arr) if module == "O" else _DerivationPieces(arr)
-    return TruncatedEngine(arr, cov, pieces)
+    return TruncatedEngine(arr, forms, keys, pieces)
 
 
 def check_kmax(kmax: int) -> None:
@@ -334,7 +288,7 @@ def stabilized_dims(eng: TruncatedEngine, degrees, n_max: int, kmax: int):
     unstable), keyed by (n, d).
     """
     check_kmax(kmax)
-    q_full = eng.cover.full_degree
+    q_full = len(eng.forms)
     entries: dict = {}
     stabilized: dict = {}
     unstable = []
@@ -441,8 +395,7 @@ def punctured_cohomology(
         eng, range(window[0], window[1] + 1), arr.ell - 1, kmax
     )
     return PuncturedCohomologyResult(
-        module, cover if cover == "coords" else "arrangement",
-        window, kmax, entries, stabilized, unstable,
+        module, cover, window, kmax, entries, stabilized, unstable,
     )
 
 
@@ -565,9 +518,7 @@ def localization_identity_check(
 
     forward = all(eng.contains(meet_key, t, v) for v in side_y)
 
-    q_poly = poly_product(
-        f, (poly_from_linear(arr.normal(h), arr.ell) for h in multiplier.factors), arr.ell
-    )
+    q_poly = forms_product(f, (arr.normal(h) for h in multiplier.factors), arr.ell)
     backward = all(
         eng.contains(y_key, t + multiplier.degree, multiply_vector(arr, v, q_poly, t))
         for v in side_meet
@@ -587,8 +538,6 @@ def truncation_monotone(arr: Arrangement, members, multiplier: FormProduct, d: i
     vecs = eng.space_basis(tuple(sorted(members)), t)
     if not vecs:
         return True
-    poly = poly_product(
-        arr.field, (poly_from_linear(arr.normal(h), arr.ell) for h in multiplier.factors), arr.ell
-    )
+    poly = forms_product(arr.field, (arr.normal(h) for h in multiplier.factors), arr.ell)
     images = [multiply_vector(arr, v, poly, t) for v in vecs]
     return sparse_rank(arr.field, images) == len(vecs)

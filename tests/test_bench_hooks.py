@@ -74,9 +74,9 @@ def test_dims_at_builds_blocks_through_tuple_space(monkeypatch, boolean3, cover)
     seen = []
     tuple_space = oracle.TruncatedEngine.tuple_space
 
-    def counted(self, key, num_degree, amb_degree):
+    def counted(self, key, k, d):
         seen.append(key)
-        return tuple_space(self, key, num_degree, amb_degree)
+        return tuple_space(self, key, k, d)
 
     monkeypatch.setattr(oracle.TruncatedEngine, "tuple_space", counted)
     lat = build_lattice(boolean3)

@@ -160,12 +160,6 @@ def test_element_order_contract(braid3_lattice):
     assert lat.elements[-1].codim == 3
 
 
-def test_join_is_span_union(boolean2_lattice):
-    lat = boolean2_lattice
-    lines = [i for i, e in enumerate(lat.elements) if e.codim == 1]
-    assert lat.join(lines[0], lines[1]) == lat.top_index
-
-
 def test_lattice_json_shape(boolean2, boolean2_lattice):
     payload = lattice_json(boolean2_lattice)
     assert payload["elements"][0] == {"codim": 0, "members": []}

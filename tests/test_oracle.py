@@ -135,6 +135,15 @@ def test_pd_oracle_kmax_validation(boolean2):
         punctured_cohomology(boolean2, "D", "coords", (-2, 2), 1)
 
 
+def test_punctured_cohomology_rejects_bad_inputs(boolean2):
+    with pytest.raises(ValueError, match="lattice"):
+        punctured_cohomology(boolean2, "D", "arrangement", (0, 0), 2)
+    with pytest.raises(ValueError, match="cover"):
+        punctured_cohomology(boolean2, "D", "flats", (0, 0), 2)
+    with pytest.raises(ValueError, match="module"):
+        punctured_cohomology(boolean2, "S", "coords", (0, 0), 2)
+
+
 def test_result_json_shape(boolean2):
     res = punctured_cohomology(boolean2, "O", "coords", (-2, 1), 4)
     payload = res.to_json(boolean2)
@@ -250,7 +259,7 @@ def test_dims_at_never_builds_the_ambient_basis(monkeypatch, cover):
         return space_basis(members, t)
 
     monkeypatch.setattr(eng.pieces.engine, "space_basis", spy)
-    q = eng.cover.full_degree
+    q = len(eng.forms)
     for d, k in [(0, 1), (1, 1), (-1, 2)]:
         eng.dims_at(d, k, arr.ell - 1)
         assert asked and d + k * q not in asked, (d, k, asked)
