@@ -146,6 +146,26 @@ def test_tensor_top_dim_generic34_hilbert(generic34):
         assert stable and dim == predicted
 
 
+# the tensor term on degrees -6..2; equal over Q and GF(2147483647)
+TENSOR_TOP = {
+    ("generic", 3, 4): (50, 34, 21, 11, 4, 0, 0, 0, 0),
+    ("generic", 3, 5): (55, 38, 24, 13, 5, 0, 0, 0, 0),
+    "nonfree-4-7": (115, 62, 28, 9, 1, 0, 0, 0, 0),
+    ("generic", 4, 6): (100, 52, 22, 6, 0, 0, 0, 0, 0),
+    ("braid", 3): (64, 46, 31, 19, 10, 4, 1, 0, 0),
+    ("braid", 4): (195, 121, 69, 35, 15, 5, 1, 0, 0),
+}
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp 2147483647"])
+@pytest.mark.parametrize("source", list(TENSOR_TOP), ids=str)
+def test_tensor_top_dim_values(arrangement_over, source, field):
+    arr = arrangement_over(source, field)
+    degrees = range(-6, 3)
+    tensor = tensor_top_dim(arr, freeness_certificate(arr), degrees)
+    assert tensor == {d: (dim, True) for d, dim in zip(degrees, TENSOR_TOP[source])}
+
+
 def test_kunneth_verify_boolean2(boolean2, boolean2_lattice):
     report = _kunneth(boolean2, boolean2_lattice, (-3, 3), 6)
     assert report["mismatches"] == []
