@@ -279,6 +279,15 @@ def _near_pencil(n: int) -> Arrangement:
     return Arrangement(QQ, 3, tuple(Hyperplane(m) for m in normals), name=f"near-pencil-{n}")
 
 
+def _nonfree_4_7() -> Arrangement:
+    """Seven hyperplanes in dimension 4, not free and not locally free: the
+    rank-3 flats {0,1,2,3}, {0,3,5,6} and {1,3,4,5} localize to non-free
+    arrangements."""
+    normals = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 1),
+               (1, 0, 0, 0), (1, 1, -1, 1), (1, 2, 0, 0)]
+    return Arrangement(QQ, 4, tuple(Hyperplane(n) for n in normals), name="nonfree-4-7")
+
+
 def catalog(name: str, *params: int) -> Arrangement:
     """Named arrangements over Q used throughout the test battery."""
     try:
@@ -298,6 +307,10 @@ def catalog(name: str, *params: int) -> Arrangement:
         if name == "near-pencil":
             (n,) = params
             return _near_pencil(n)
+        if name == "nonfree-4-7":
+            if params:
+                raise ValueError
+            return _nonfree_4_7()
     except ValueError as exc:
         raise ArrangementError(f"invalid parameters for {name!r}: {params}") from exc
     raise ArrangementError(f"unknown catalog name {name!r}")
@@ -308,4 +321,5 @@ CATALOG_SUMMARY = (
     ("braid", "braid ell: essentialized braid, ell(ell+1)/2 hyperplanes"),
     ("generic", "generic ell n: coordinates plus validated generic normals"),
     ("near-pencil", "near-pencil n: pencil through an axis plus one transversal, ell = 3"),
+    ("nonfree-4-7", "nonfree-4-7: seven hyperplanes, ell = 4, not free and not locally free"),
 )

@@ -288,7 +288,7 @@ def main(argv=None) -> int:
             check_kmax(args.kmax)
             table = lattice_cohomology_table(arr, lattice, "D", window)
             punctured = punctured_cohomology(arr, "D", "coords", window, args.kmax)
-            report = kunneth_verify(arr, freeness_certificate(arr), table, punctured)
+            report = kunneth_verify(arr, table, punctured)
             _emit(
                 {
                     "arrangement": report["arrangement"],

@@ -3,19 +3,13 @@ import pytest
 from arrsheaf import build_lattice, catalog
 from arrsheaf.arrangement import parse_arrangement
 
-# ell = 4, not free, with nonzero H^1 and H^2 of D on the window 0:1
-_NONFREE_4_7 = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 1),
-                (1, 0, 0, 0), (1, 1, -1, 1), (1, 2, 0, 0)]
-
 
 def build_arrangement(source, field):
-    """The catalog entry ``source`` (the arguments of ``catalog``) or
-    ``"nonfree-4-7"``, over ``field``."""
-    if source == "nonfree-4-7":
-        normals = _NONFREE_4_7
-    else:
-        cat = catalog(*source)
-        normals = [cat.normal(h) for h in range(cat.size)]
+    """The catalog entry ``source`` (the arguments of ``catalog``, or a
+    name that takes none, such as ``"nonfree-4-7"``) over ``field``,
+    parsed without a name, so its label is ``custom``."""
+    cat = catalog(source) if isinstance(source, str) else catalog(*source)
+    normals = [cat.normal(h) for h in range(cat.size)]
     return parse_arrangement(f"field {field}\ndim {len(normals[0])}\n" + "".join(
         "hyperplane " + " ".join(map(str, n)) + "\n" for n in normals))
 

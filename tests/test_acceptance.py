@@ -20,7 +20,7 @@ from arrsheaf.cech import (
     lattice_cohomology_table,
 )
 from arrsheaf.derivations import freeness_certificate
-from arrsheaf.diagnostics import factorization_check
+from arrsheaf.diagnostics import factorization_check, tensor_top_dim
 from arrsheaf.lattice import build_lattice
 from arrsheaf.oracle import (
     localization_identity_check,
@@ -203,6 +203,22 @@ def test_criterion_4_kunneth_cells(arrangements, lattices, oracle_results):
         not failures,
         f"failures={failures[:5]} unstable={unstable_listing}",
     )
+
+
+def test_top_cell_is_the_tensor_term(arrangements, oracle_results):
+    """H^{ell-1}(U, D~) = H^ell_m(D) = D (x) H^ell_m(S), since top local
+    cohomology is right exact: every stable top cell of the oracle equals
+    the tensor term."""
+    degrees = range(KUNNETH_WINDOW[0], KUNNETH_WINDOW[1] + 1)
+    failures = []
+    for label, oracle in oracle_results.items():
+        arr = arrangements[label]
+        tensor = tensor_top_dim(arr, degrees)
+        for d in degrees:
+            n = arr.ell - 1
+            if oracle.is_stable(n, d) and oracle.dim(n, d) != tensor[d]:
+                failures.append((label, d, oracle.dim(n, d), tensor[d]))
+    assert report("top cell is the tensor term", not failures, str(failures))
 
 
 def test_criterion_5_projective_dimension(arrangements, lattice_tables, oracle_results):

@@ -266,6 +266,19 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_catalog_nonfree47_pipes_into_freeness(capsys, monkeypatch):
+    # arrsheaf catalog nonfree-4-7 | arrsheaf freeness -
+    code = main(["catalog", "nonfree-4-7"])
+    arr_text, _ = capsys.readouterr()
+    assert code == EXIT_OK and arr_text.count("hyperplane") == 7
+    code, out, _ = run_cli(["freeness", "-"], stdin_text=arr_text,
+                           capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["arrangement"] == "nonfree-4-7"
+    assert payload["certificate"]["status"] == "not-free"
+
+
 def test_catalog_report_pipeline_stdin(capsys, monkeypatch):
     # arrsheaf catalog braid 3 | arrsheaf report -
     code = main(["catalog", "braid", "3"])
@@ -335,9 +348,16 @@ def test_report_braid3_default_pipeline(capsys, monkeypatch):
     assert payload["window"] == [-9, 6]
 
 
-def test_verify_kunneth_generic34(tmp_path, capsys):
+def test_verify_kunneth_generic34(tmp_path, capsys, monkeypatch):
+    # the tensor term is a rank of constraints, so no freeness certificate
+    # (and no generator scan) is computed
+    from arrsheaf import cli, derivations, diagnostics
     from arrsheaf.arrangement import catalog as cat, serialize_arrangement
 
+    certificates = []
+    for module in (cli, derivations, diagnostics):
+        monkeypatch.setattr(module, "freeness_certificate",
+                            lambda *args: certificates.append(args))
     f = tmp_path / "g34.arr"
     f.write_text(serialize_arrangement(cat("generic", 3, 4)))
     code = main(["verify-kunneth", str(f), "--window", "-2:2", "--kmax", "6"])
@@ -345,6 +365,7 @@ def test_verify_kunneth_generic34(tmp_path, capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["all_match"] is True
+    assert certificates == []
 
 
 def test_cross_process_determinism(tmp_path):

@@ -2,8 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from arrsheaf.arrangement import Arrangement, ArrangementError, Hyperplane, catalog
+from arrsheaf.arrangement import (
+    Arrangement,
+    ArrangementError,
+    Hyperplane,
+    catalog,
+    parse_arrangement,
+)
 from arrsheaf.derivations import (
     FunctorError,
     derivation_space,
@@ -19,7 +26,7 @@ from arrsheaf.derivations import (
 )
 from arrsheaf.lattice import build_lattice
 from arrsheaf.linalg import GF, QQ, RowReducer, sparse_rank
-from arrsheaf.monomials import poly_eval, poly_from_linear
+from arrsheaf.monomials import dim_poly, poly_eval, poly_from_linear
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +382,8 @@ def natural_order_generators(arr, up_to_degree):
 @pytest.mark.parametrize("label", ["generic-4-6", "braid-3-mod-p"])
 def test_generator_scan_matches_natural_order(label):
     # the fill-reducing renumbering decides no generator: degrees and
-    # vectors are those of the natural-order scan (tensor_top_dim reads the
-    # vectors, and no golden file prints them)
+    # vectors are those of the natural-order scan (the determinant criterion
+    # reads the vectors, and no golden file prints them)
     arr = braid3_mod_large_prime() if label == "braid-3-mod-p" else catalog("generic", 4, 6)
     assert minimal_generators(arr, arr.size) == natural_order_generators(arr, arr.size)
 
@@ -464,3 +471,25 @@ def test_contains_is_span_membership(source, field, arrangement_over):
                     assert eng.contains(members, t, vec) == inside_span, (members, t)
                     outcomes.add(inside_span)
     assert outcomes == {True, False}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(normals=st.lists(st.tuples(*[st.integers(-2, 2)] * 3).filter(any),
+                        min_size=3, max_size=6))
+def test_dual_dims_of_free_arrangements(normals):
+    """Random ell = 3 arrangements: when the certificate says free with
+    exponents e_i, Hom(D(A), S) is free on generators of degree -e_i, so
+    dim Hom(D(A), S)_e = sum_i dim S_{e+e_i}."""
+    text = "field Q\ndim 3\n" + "".join(
+        "hyperplane " + " ".join(map(str, n)) + "\n" for n in normals
+    )
+    try:
+        arr = parse_arrangement(text)
+    except ArrangementError:  # proportional normals or not essential
+        assume(False)
+    cert = freeness_certificate(arr)
+    if cert.status == "free":
+        eng = engine_for(arr)
+        for e in range(-arr.size, 3):
+            assert eng.dual_dim(e) == sum(dim_poly(3, e + x) for x in cert.exponents)

@@ -1,4 +1,5 @@
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -9,7 +10,6 @@ from arrsheaf.derivations import FreenessCertificate, freeness_certificate
 from arrsheaf.diagnostics import (
     ConsistencyError,
     build_report,
-    dim_negative_piece,
     factorization_check,
     freeness_verdict,
     kunneth_verify,
@@ -30,10 +30,15 @@ def _pd_via_lattice(arr, lat, window):
     return pd_from_middle_levels(table.entries, arr.ell)
 
 
+def _orthant_dim(ell, e):
+    """dim H^ell_m(S)_e: the Laurent monomials of degree e with every
+    exponent at most -1."""
+    return comb(-e - 1, ell - 1) if e <= -ell else 0
+
+
 def _kunneth(arr, lat, window, kmax):
     return kunneth_verify(
         arr,
-        freeness_certificate(arr),
         lattice_cohomology_table(arr, lat, "D", window),
         punctured_cohomology(arr, "D", "coords", window, kmax),
     )
@@ -123,27 +128,26 @@ def test_factorization_mismatch_raises(braid3, braid3_lattice):
 
 
 def test_tensor_top_dim_free_closed_form(braid2):
+    # free: the tensor term is the sum of shifted copies of H^ell_m(S)
     cert = freeness_certificate(braid2)
     degrees = (-4, -3, -2, 0, 1)
-    tensor = tensor_top_dim(braid2, cert, degrees)
+    tensor = tensor_top_dim(braid2, degrees)
     for d in degrees:
-        expected = sum(dim_negative_piece(2, d - e) for e in cert.exponents)
-        assert tensor[d] == (expected, True)
+        assert tensor[d] == sum(_orthant_dim(2, d - e) for e in cert.exponents)
 
 
 def test_tensor_top_dim_generic34_hilbert(generic34):
     # generators (1,2,2,2) with a single relation in degree 3; away from the
     # boundary the series prediction N(-1) + 3N(-2) - N(-3) is exact
     degrees = (-5, -4, -3)
-    tensor = tensor_top_dim(generic34, freeness_certificate(generic34), degrees)
+    tensor = tensor_top_dim(generic34, degrees)
     for d in degrees:
         predicted = (
-            dim_negative_piece(3, d - 1)
-            + 3 * dim_negative_piece(3, d - 2)
-            - dim_negative_piece(3, d - 3)
+            _orthant_dim(3, d - 1)
+            + 3 * _orthant_dim(3, d - 2)
+            - _orthant_dim(3, d - 3)
         )
-        dim, stable = tensor[d]
-        assert stable and dim == predicted
+        assert tensor[d] == predicted
 
 
 # the tensor term on degrees -6..2; equal over Q and GF(2147483647)
@@ -162,8 +166,7 @@ TENSOR_TOP = {
 def test_tensor_top_dim_values(arrangement_over, source, field):
     arr = arrangement_over(source, field)
     degrees = range(-6, 3)
-    tensor = tensor_top_dim(arr, freeness_certificate(arr), degrees)
-    assert tensor == {d: (dim, True) for d, dim in zip(degrees, TENSOR_TOP[source])}
+    assert tensor_top_dim(arr, degrees) == dict(zip(degrees, TENSOR_TOP[source]))
 
 
 def test_kunneth_verify_boolean2(boolean2, boolean2_lattice):
@@ -174,8 +177,9 @@ def test_kunneth_verify_boolean2(boolean2, boolean2_lattice):
 
 
 def test_kunneth_verify_braid2_top_observation(braid2):
-    # the top-level comparison is informational; at d=0 the naive
-    # direct-sum term overshoots and that must be recorded, not raised
+    # the top-level comparison is informational; at d=0 the lattice top
+    # cell plus the tensor term exceeds the oracle's top cell, which is the
+    # tensor term alone, and that must be recorded, not raised
     lat = build_lattice(braid2)
     report = _kunneth(braid2, lat, (-2, 2), 8)
     assert report["mismatches"] == []

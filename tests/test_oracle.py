@@ -44,11 +44,10 @@ def test_derivations_sections_equal_module(boolean2):
 def test_free_top_cohomology_matches_exponent_shifts(braid2):
     # for a free module the punctured top cohomology is the shifted orthant
     cert = freeness_certificate(braid2)
-    from arrsheaf.diagnostics import dim_negative_piece
-
     res = punctured_cohomology(braid2, "D", "coords", (-4, 2), 8)
     for d in range(-4, 3):
-        expected = sum(dim_negative_piece(2, d - e) for e in cert.exponents)
+        # dim H^2_m(S)_{d-e} = #{(a, b) : a, b >= 1, a + b = e - d}
+        expected = sum(max(e - d - 1, 0) for e in cert.exponents)
         assert res.dim(1, d) == expected
 
 
